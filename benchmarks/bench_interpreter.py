@@ -1,18 +1,22 @@
-"""Interpreter engine benchmark: all three TBVM tiers + trace decode.
+"""Interpreter engine benchmark: both TBVM tiers + trace decode.
 
-Measures guest instructions per second for every engine tier on a
-representative slice of the specint workload suite, plus trace-record
-decode throughput (scalar oracle vs the vectorized bulk scanners), and
-records the results in ``BENCH_interpreter.json`` at the repo root.
+Measures guest instructions per second for both engine tiers on a
+representative slice of the specint workload suite — bare, plus gzip
+instrumented (probes, runtime, buffer wraps) — and trace-record decode
+throughput (scalar oracle vs the vectorized bulk scanners), and records
+the results in ``BENCH_interpreter.json`` at the repo root.
 
-The tiers exist to make the simulation usable at paper-scale workloads;
-this benchmark holds them to their contracts:
+The production tier exists to make the simulation usable at
+paper-scale workloads; this benchmark holds it to its contracts:
 
-* ``fast`` (tier 2, predecoded closures): >= 2x geometric-mean speedup
-  over ``Machine.step()``;
-* ``block`` (tier 3, fused basic-block units, :mod:`repro.vm.blocks`):
-  >= 4x geometric-mean speedup in the in-test floor (the recorded
-  numbers run >= 5x; the floor leaves noise headroom on busy CI boxes);
+* ``block`` (tier 3, on-demand fused units over per-instruction
+  handlers, :mod:`repro.vm.blocks`): >= 4x geometric-mean speedup over
+  the ``reference`` tier (``Machine.step()``) in the in-test floor (the
+  recorded numbers run >= 5x; the floor leaves noise headroom on busy
+  CI boxes);
+* instrumented execution: the instrumented gzip row (``gzip+probes``)
+  keeps its speedup over the reference tier too — the header-probe
+  superinstruction is what keeps traced code fast;
 * bulk decode (:func:`repro.runtime.records.read_forward_bulk` and the
   salvage resync scanner): >= 3x the scalar oracle's word throughput;
 * identical program output and cycle counts across tiers (the
@@ -25,9 +29,10 @@ Results keep a bounded ``history`` array (BENCH_fleet style)::
     PYTHONPATH=src python benchmarks/bench_interpreter.py --check  # guard
 
 ``--check`` compares the two most recent history entries and fails on a
->25% regression in block-engine geo-mean speedup or bulk-decode
-speedup; fewer than two entries is not an error.  The ``replay``
-section maintained by ``bench_replay.py`` is carried over untouched.
+>25% regression in block-engine geo-mean speedup, instrumented-gzip
+speedup, or bulk-decode speedup; fewer than two entries (or entries
+predating a metric) is not an error.  The ``replay`` section maintained
+by ``bench_replay.py`` is carried over untouched.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ import time
 from pathlib import Path
 from statistics import geometric_mean
 
+from repro.instrument import InstrumentConfig, instrument_module
 from repro.lang.minic import compile_source
 from repro.runtime.records import (
     _DAG_CACHE,
@@ -50,14 +56,19 @@ from repro.runtime.records import (
 from repro.workloads.harness import format_table, run_once
 from repro.workloads.specint import benchmark_named
 
-SCHEMA = "tbvm-interpreter-bench/2"
+SCHEMA = "tbvm-interpreter-bench/3"
 
 #: Engine tiers, slowest first; speedups are relative to the first.
-TIERS = ("reference", "fast", "block")
+TIERS = ("reference", "block")
 
 #: A spread of workload shapes: tight integer loops (gzip, mcf), pointer
 #: chasing (parser), branchy search (crafty), and call-heavy (gap).
 WORKLOADS = ["gzip", "mcf", "parser", "crafty", "gap"]
+
+#: The instrumented row: this workload under native-mode probes with the
+#: TraceBack runtime attached.  Reported beside the bare rows, not in
+#: their geo mean (which stays comparable across history entries).
+TRACED = "gzip"
 
 #: Best-of-N wall-clock to damp scheduler noise.
 REPEATS = 3
@@ -65,8 +76,8 @@ REPEATS = 3
 #: In-test floors (geometric mean over WORKLOADS).  Conservative vs the
 #: recorded numbers so a noisy box doesn't flake the slow lane; the
 #: ``--check`` history guard watches the recorded numbers themselves.
-MIN_FAST_GEO_MEAN_SPEEDUP = 2.0
 MIN_BLOCK_GEO_MEAN_SPEEDUP = 4.0
+MIN_TRACED_SPEEDUP = 3.0
 MIN_DECODE_SPEEDUP = 3.0
 
 #: ``--check`` tolerance between the two most recent history entries.
@@ -82,8 +93,9 @@ DECODE_WORDS = 1 << 18
 OUTPUT_PATH = Path(__file__).resolve().parents[1] / "BENCH_interpreter.json"
 
 
-def _measure(name: str) -> dict:
-    """Best-of-``REPEATS`` run of one workload on every tier.
+def _measure(name: str, traced: bool = False) -> dict:
+    """Best-of-``REPEATS`` run of one workload on every tier, bare or
+    (``traced``) instrumented with the runtime attached.
 
     Repeats are interleaved across tiers (tier-inner, repeat-outer) so
     no tier systematically lands on a hotter or more contended CPU than
@@ -95,8 +107,12 @@ def _measure(name: str) -> dict:
     for _ in range(REPEATS):
         for tier in TIERS:
             module = compile_source(bench.source, name)
+            if traced:
+                module = instrument_module(
+                    module, InstrumentConfig(mode="native")
+                ).module
             start = time.perf_counter()
-            outcome = run_once(module, engine=tier)
+            outcome = run_once(module, engine=tier, with_runtime=traced)
             seconds = time.perf_counter() - start
             if tier not in best or seconds < best[tier]["seconds"]:
                 best[tier] = {
@@ -161,38 +177,36 @@ def _measure_decode() -> dict:
     return results
 
 
+def _row(name: str, measured: dict) -> dict:
+    """One report row, after the cross-tier equivalence check."""
+    reference = measured["reference"]
+    for tier in TIERS[1:]:
+        # Equivalence cross-check: same work, same result.
+        assert measured[tier]["output"] == reference["output"], name
+        assert measured[tier]["cycles"] == reference["cycles"], name
+        assert measured[tier]["instructions"] == reference["instructions"], name
+    return {
+        "name": name,
+        "instructions": reference["instructions"],
+        "engines": {
+            tier: {
+                "seconds": round(measured[tier]["seconds"], 4),
+                "ips": round(measured[tier]["ips"]),
+            }
+            for tier in TIERS
+        },
+        "speedup": {
+            tier: round(measured[tier]["ips"] / reference["ips"], 3)
+            for tier in TIERS[1:]
+        },
+    }
+
+
 def run_benchmark() -> dict:
     """Measure every workload under every tier plus decode; write and
     return the report."""
-    rows = []
-    for name in WORKLOADS:
-        measured = _measure(name)
-        reference = measured["reference"]
-        for tier in TIERS[1:]:
-            # Equivalence cross-check: same work, same result.
-            assert measured[tier]["output"] == reference["output"], name
-            assert measured[tier]["cycles"] == reference["cycles"], name
-            assert (
-                measured[tier]["instructions"] == reference["instructions"]
-            ), name
-        rows.append(
-            {
-                "name": name,
-                "instructions": reference["instructions"],
-                "engines": {
-                    tier: {
-                        "seconds": round(measured[tier]["seconds"], 4),
-                        "ips": round(measured[tier]["ips"]),
-                    }
-                    for tier in TIERS
-                },
-                "speedup": {
-                    tier: round(measured[tier]["ips"] / reference["ips"], 3)
-                    for tier in TIERS[1:]
-                },
-            }
-        )
-
+    rows = [_row(name, _measure(name)) for name in WORKLOADS]
+    traced = _row(f"{TRACED}+probes", _measure(TRACED, traced=True))
     geo_mean = {
         tier: round(
             geometric_mean([row["speedup"][tier] for row in rows]), 3
@@ -204,9 +218,8 @@ def run_benchmark() -> dict:
     report = {
         "schema": SCHEMA,
         "workloads": rows,
+        "traced": traced,
         "geo_mean": geo_mean,
-        # Kept for readers of the v1 shape: the fast tier's geo mean.
-        "geo_mean_speedup": geo_mean["fast"],
         "decode": decode,
     }
     # Other benchmarks (bench_replay) keep their own sections in the
@@ -222,18 +235,22 @@ def run_benchmark() -> dict:
             "geo_mean": geo_mean,
             "decode_speedup": decode["speedup"],
             "block_ips_gzip": rows[0]["engines"]["block"]["ips"],
+            "traced_speedup": traced["speedup"]["block"],
+            "block_ips_traced_gzip": traced["engines"]["block"]["ips"],
         }
     )
     report["history"] = history[-HISTORY_LIMIT:]
     for key, value in previous.items():
-        report.setdefault(key, value)
+        # The retired tier-2 summary field is not carried forward.
+        if key != "geo_mean_speedup":
+            report.setdefault(key, value)
     OUTPUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
     return report
 
 
 def check_regression() -> int:
-    """Exit 1 when block geo-mean or decode speedup regressed >25%
-    between the two most recent history entries."""
+    """Exit 1 when block geo-mean, instrumented-gzip or decode speedup
+    regressed >25% between the two most recent history entries."""
     try:
         report = json.loads(OUTPUT_PATH.read_text())
     except (OSError, ValueError):
@@ -249,6 +266,7 @@ def check_regression() -> int:
     failed = False
     for label, get in (
         ("block geo-mean speedup", lambda h: h["geo_mean"]["block"]),
+        ("instrumented gzip speedup", lambda h: h["traced_speedup"]),
         ("decode speedup", lambda h: h["decode_speedup"]),
     ):
         try:
@@ -276,26 +294,20 @@ def _render(report: dict) -> str:
             row["name"],
             row["instructions"],
             f"{row['engines']['reference']['ips']:,}",
-            f"{row['engines']['fast']['ips']:,}",
             f"{row['engines']['block']['ips']:,}",
-            f"{row['speedup']['fast']:.2f}x",
             f"{row['speedup']['block']:.2f}x",
         )
-        for row in report["workloads"]
+        for row in report["workloads"] + [report["traced"]]
     ]
     rows.append(
         (
-            "geo mean", "", "", "", "",
-            f"{report['geo_mean']['fast']:.2f}x",
+            "geo mean (bare)", "", "", "",
             f"{report['geo_mean']['block']:.2f}x",
         )
     )
     engines = format_table(
         rows,
-        headers=[
-            "workload", "instructions", "ref ips", "fast ips", "block ips",
-            "fast", "block",
-        ],
+        headers=["workload", "instructions", "ref ips", "block ips", "block"],
         title="Interpreter engines: instructions/second",
     )
     decode = report["decode"]
@@ -317,11 +329,12 @@ def _render(report: dict) -> str:
 def test_engine_and_decode_speedups(report):
     result = run_benchmark()
     report.append(_render(result))
-    assert result["geo_mean"]["fast"] >= MIN_FAST_GEO_MEAN_SPEEDUP, (
-        f"fast engine only {result['geo_mean']['fast']:.2f}x over reference"
-    )
     assert result["geo_mean"]["block"] >= MIN_BLOCK_GEO_MEAN_SPEEDUP, (
         f"block engine only {result['geo_mean']['block']:.2f}x over reference"
+    )
+    assert result["traced"]["speedup"]["block"] >= MIN_TRACED_SPEEDUP, (
+        f"instrumented gzip only "
+        f"{result['traced']['speedup']['block']:.2f}x over reference"
     )
     assert result["decode"]["speedup"] >= MIN_DECODE_SPEEDUP, (
         f"bulk decode only {result['decode']['speedup']:.2f}x over scalar"

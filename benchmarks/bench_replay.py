@@ -18,8 +18,8 @@ multithreaded subjects:
   ``MAX_BYTES_PER_EVENT``) and the packed columnar ``tb-ndlog/2`` the
   snap actually ships (asserted under ``MAX_BYTES_PER_EVENT_V2``,
   with the v1->v2 size reduction asserted >= ``MIN_V2_REDUCTION``).
-* **replay throughput** — replay re-executes on the fast engine while
-  forcing recorded slice boundaries; the recorded run pays
+* **replay throughput** — replay re-executes on the production engine
+  while forcing recorded slice boundaries; the recorded run pays
   instrumentation and record-write costs instead.  Both sides are
   reported as guest instructions per second; ``replay_vs_record`` is
   their ratio.
@@ -31,10 +31,11 @@ report shape is untouched)::
     PYTHONPATH=src python benchmarks/bench_replay.py          # measure
     PYTHONPATH=src python benchmarks/bench_replay.py --check  # guard
 
-``--check`` compares ``replay_ips`` and the v2 compressed
-bytes-per-event between the two most recent history entries and fails
-on a >25% regression of either; fewer than two entries (or entries
-predating a metric) is not an error.
+``--check`` compares replay throughput (``replay_ips``), record
+throughput (``record.ips``) and the v2 compressed bytes-per-event
+between the two most recent history entries and fails on a >25%
+regression of any; fewer than two entries (or entries predating a
+metric) is not an error.
 
 Also runs in the slow pytest lane.
 """
@@ -293,8 +294,8 @@ def run_benchmark() -> dict:
 
 
 def check_regression() -> int:
-    """Exit 1 when replay throughput dropped or the packed log's
-    compressed bytes-per-event grew by >25% between the two most
+    """Exit 1 when replay or record throughput dropped or the packed
+    log's compressed bytes-per-event grew by >25% between the two most
     recent history entries."""
     try:
         report = json.loads(OUTPUT_PATH.read_text())
@@ -303,17 +304,21 @@ def check_regression() -> int:
     history = report.get("replay", {}).get("history", [])
     failed = False
 
-    rates = [
-        h["replay_ips"] for h in history if h.get("replay_ips")
-    ]
-    if len(rates) < 2:
-        print(f"bench_replay --check: {len(rates)} replay history "
-              "entr(ies) in BENCH_interpreter.json, nothing to compare")
-    else:
+    for label, rates in (
+        ("replay throughput",
+         [h["replay_ips"] for h in history if h.get("replay_ips")]),
+        ("record throughput",
+         [h["record"]["ips"] for h in history
+          if h.get("record", {}).get("ips")]),
+    ):
+        if len(rates) < 2:
+            print(f"bench_replay --check: {len(rates)} {label} history "
+                  "entr(ies) in BENCH_interpreter.json, nothing to compare")
+            continue
         prev, last = rates[-2], rates[-1]
         if last < prev * (1 - REGRESSION_TOLERANCE):
             print(
-                f"bench_replay --check: FAIL — replay throughput "
+                f"bench_replay --check: FAIL — {label} "
                 f"{last:,.0f} ips is down {(1 - last / prev):.0%} from "
                 f"previous {prev:,.0f} ips "
                 f"(tolerance {REGRESSION_TOLERANCE:.0%})"
@@ -321,7 +326,7 @@ def check_regression() -> int:
             failed = True
         else:
             print(
-                f"bench_replay --check: ok — replay throughput "
+                f"bench_replay --check: ok — {label} "
                 f"{last:,.0f} ips vs previous {prev:,.0f} ips"
             )
 

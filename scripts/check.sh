@@ -39,24 +39,27 @@
 #                                (examples + 60+ seeded random
 #                                multithreaded crashers, instrumented
 #                                and bare), and the replay benchmark
-#                                (ndlog overhead + replay throughput)
-#                                merged into BENCH_interpreter.json
+#                                (ndlog overhead + record and replay
+#                                throughput, each with a >25%
+#                                regression guard) merged into
+#                                BENCH_interpreter.json
 #   scripts/check.sh tier3       block-compiled engine subsystem: the
-#                                three-tier differential suite, the
-#                                tier-3 unit tests, the full cross-
-#                                engine replay sweep (62 seeded
-#                                crashers recorded on one tier and
-#                                replayed on another, both directions),
-#                                and the interpreter benchmark (engine
-#                                speedups + decode throughput) with its
-#                                >25% regression guard
+#                                two-tier differential suite, the
+#                                header-probe differential, the tier-3
+#                                unit tests, the full cross-engine
+#                                replay sweep (62 seeded crashers
+#                                recorded on one tier and replayed on
+#                                the other, both directions), and the
+#                                interpreter benchmark (engine speedups,
+#                                instrumented gzip + decode throughput)
+#                                with its >25% regression guard
 #   scripts/check.sh bench       interpreter + fleet-ingest + fleet-GC +
 #                                federation + replay benchmarks; writes
 #                                BENCH_interpreter.json and
 #                                BENCH_fleet.json, then fails if fleet
 #                                ingest, GC reclaim, federated query, or
-#                                replay throughput regressed >25% vs the
-#                                previous history entry
+#                                record/replay throughput regressed >25%
+#                                vs the previous history entry
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src
@@ -106,7 +109,8 @@ case "${1:-test-fast}" in
     ;;
   tier3)
     python -m pytest -q tests/vm/test_differential.py tests/vm/test_blocks.py \
-      tests/replay/test_cross_engine.py -m "slow or not slow"
+      tests/vm/test_probe_differential.py tests/replay/test_cross_engine.py \
+      -m "slow or not slow"
     python benchmarks/bench_interpreter.py
     exec python benchmarks/bench_interpreter.py --check
     ;;

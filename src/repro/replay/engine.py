@@ -2,7 +2,7 @@
 
 :class:`ReplayEngine` rebuilds the recorded process from the ndlog
 header (same machine identity, pid, runtime id, modules, start
-threads), then re-executes the run on the fast-dispatch engine,
+threads), then re-executes the run on the production (block) engine,
 forcing each recorded nondeterminism point:
 
 * **slices** — the machine clock is forced to the recorded slice start
@@ -52,13 +52,16 @@ from repro.vm.thread import Thread
 class ReplayEngine:
     """Re-execute one snap's recorded run, stopping exactly at the fault."""
 
-    def __init__(self, snap: SnapFile, breakpoints=None, engine: str = "fast"):
+    def __init__(
+        self, snap: SnapFile, breakpoints=None, engine: str | None = None
+    ):
         replay = getattr(snap, "replay", None) or {}
-        #: Which interpreter tier re-executes the run.  Replay is
-        #: engine-agnostic: all tiers retire instructions on identical
-        #: boundaries (the block engine falls back to per-instruction
-        #: dispatch at partial slices), so forced slices and breakpoints
-        #: land on the same instruction under any of them.
+        #: Which interpreter tier re-executes the run (``None``: the
+        #: ``Machine`` default).  Replay is engine-agnostic: both tiers
+        #: retire instructions on identical boundaries (the block engine
+        #: falls back to per-instruction dispatch at partial slices), so
+        #: forced slices and breakpoints land on the same instruction
+        #: whichever tier recorded the log.
         self.engine = engine
         ndlog = replay.get("ndlog")
         if not isinstance(ndlog, dict):

@@ -1,4 +1,4 @@
-"""Predecoded fast-dispatch execution engine for TBVM.
+"""Predecoded per-instruction handlers for TBVM (tier 2).
 
 The reference interpreter (:meth:`repro.vm.machine.Machine.step`) walks a
 ~30-arm ``if/elif`` chain on every instruction.  That cost dominates
@@ -20,12 +20,15 @@ for its code address pre-bound as closure cells:
 * the folded ALU lambda for table-dispatched ALU ops, and
 * the module's import-binding list for ``CALLX``.
 
-The hot loop (:meth:`Machine._run_slice_fast`) then becomes
-fetch-handler / call with no per-step ``Op`` comparison cascade.
+The production hot loop (:meth:`Machine._run_slice_block`) runs cold
+code as fetch-handler / call with no per-step ``Op`` comparison cascade,
+and the compiled units of :mod:`repro.vm.blocks` end in these handlers
+for calls, returns, ``SYS`` and ``HALT``.
 
-The two engines must be *bit-identical*: same architectural state, same
-cycle counts, same fault PCs, same trace-buffer contents.  Every handler
-below mirrors the corresponding ``_exec`` arm exactly — including
+Handlers and the reference interpreter must be *bit-identical*: same
+architectural state, same cycle counts, same fault PCs, same
+trace-buffer contents.  Every handler below mirrors the corresponding
+``_exec`` arm exactly — including
 side-effect ordering on the faulting paths (e.g. ``PUSH`` decrements
 ``sp`` before the store that may fault) — and the differential suite in
 ``tests/vm/test_differential.py`` enforces the equivalence.

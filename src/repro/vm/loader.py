@@ -21,6 +21,7 @@ from typing import Callable
 from repro.isa.encoding import decode
 from repro.isa.instructions import Instr
 from repro.isa.module import Module, Reloc
+from repro.vm.blocks import unit_table
 from repro.vm.dispatch import Handler, build_handlers
 from repro.vm.errors import VMError
 from repro.vm.memory import Memory, Segment
@@ -42,17 +43,19 @@ class LoadedModule:
     import_bindings: list[int | Callable] = field(default_factory=list)
     #: Decoded-instruction cache, parallel to the code segment.
     decoded: list[Instr] = field(default_factory=list)
-    #: Predecoded handler table for the fast engine, parallel to
-    #: ``decoded`` (see :mod:`repro.vm.dispatch`).
+    #: Predecoded per-instruction handlers, parallel to ``decoded``
+    #: (see :mod:`repro.vm.dispatch`).
     handlers: list[Handler] = field(default_factory=list)
     #: The owning process's memory; bound by the loader so predecoded
     #: handlers can capture ``load``/``store`` directly.
     memory: Memory | None = None
-    #: Tier-3 compiled-unit table (offset -> (count, closure)); built
-    #: lazily by the block engine on first execution, ``None`` until
-    #: then and again after every decode-cache refresh (see
-    #: :mod:`repro.vm.blocks`).
-    block_table: dict | None = None
+    #: Tier-3 state (see :mod:`repro.vm.blocks`), both parallel to
+    #: ``decoded``: ``units`` holds the compiled ``(count, closure)`` of
+    #: a hot entry offset, ``NO_UNIT`` where no unit starts, ``None``
+    #: elsewhere; ``heat`` counts entries per offset.  Every
+    #: decode-cache refresh resets both in place.
+    units: list = field(default_factory=list)
+    heat: list[int] = field(default_factory=list)
     unloaded: bool = False
 
     @property
@@ -80,14 +83,15 @@ class LoadedModule:
 
     def refresh_decode_cache(self) -> None:
         """Re-decode the (possibly rewritten) code segment and lower it
-        to the fast engine's predecoded handler table."""
+        to the predecoded handler table."""
         code_seg = self.segments[0]
         self.decoded = [decode(word) for word in code_seg.words]
+        # In place, as the slice loop holds these lists.  Compiled units
+        # capture the old decode: drop them and their entry counts.
         if self.memory is not None:
-            self.handlers = build_handlers(self, self.memory)
-        # Compiled units capture the old handlers/immediates; drop them
-        # so the block engine recompiles from the fresh decode.
-        self.block_table = None
+            self.handlers[:] = build_handlers(self, self.memory)
+        self.units[:] = unit_table(self.decoded)
+        self.heat[:] = [0] * len(self.decoded)
 
 
 class Loader:

@@ -99,6 +99,9 @@ class Memory:
         self._read_hit2: tuple[int, int, list[int] | None] = (1, 0, None)
         self._write_hit: tuple[int, int, list[int] | None] = (1, 0, None)
         self._write_hit2: tuple[int, int, list[int] | None] = (1, 0, None)
+        # The probes' own entry (see trace_hit), so trace records never
+        # evict the stack from the write entries.
+        self._trace_hit: tuple[int, int, list[int] | None] = (1, 0, None)
 
     # ------------------------------------------------------------------
     # Mapping
@@ -115,7 +118,7 @@ class Memory:
         self._segments.insert(idx, segment)
         self._bases.insert(idx, segment.base)
         self._read_hit = self._read_hit2 = (1, 0, None)
-        self._write_hit = self._write_hit2 = (1, 0, None)
+        self._write_hit = self._write_hit2 = self._trace_hit = (1, 0, None)
         return segment
 
     def unmap(self, segment: Segment) -> None:
@@ -124,7 +127,7 @@ class Memory:
         del self._segments[idx]
         del self._bases[idx]
         self._read_hit = self._read_hit2 = (1, 0, None)
-        self._write_hit = self._write_hit2 = (1, 0, None)
+        self._write_hit = self._write_hit2 = self._trace_hit = (1, 0, None)
 
     def segment_at(self, addr: int) -> Segment | None:
         """The segment containing ``addr``, or ``None``."""
@@ -188,6 +191,13 @@ class Memory:
             index = addr - base
             words[index] = (words[index] | bits) & WORD_MASK
             return
+        hit2 = self._write_hit2
+        if hit2[0] <= addr < hit2[1]:
+            self._write_hit2 = self._write_hit
+            self._write_hit = hit2
+            index = addr - hit2[0]
+            hit2[2][index] = (hit2[2][index] | bits) & WORD_MASK
+            return
         segment = self.segment_at(addr)
         if segment is None or not segment.writable:
             raise VMFault(ExcCode.ACCESS_VIOLATION, pc, f"or-write of {addr:#x}")
@@ -195,6 +205,15 @@ class Memory:
         self._write_hit = (segment.base, segment.end, segment.words)
         index = addr - segment.base
         segment.words[index] = (segment.words[index] | bits) & WORD_MASK
+
+    def trace_hit(self, addr: int) -> tuple[int, int, list[int] | None]:
+        """The probes' cache entry, pointed at ``addr``'s segment if it
+        is readable and writable (a record slot is sentinel-checked and
+        written).  Never raises; the entry misses ``addr`` otherwise."""
+        segment = self.segment_at(addr)
+        if segment is not None and segment.readable and segment.writable:
+            self._trace_hit = (segment.base, segment.end, segment.words)
+        return self._trace_hit
 
     def fetch(self, addr: int) -> int:
         """Fetch the instruction word at ``addr`` (requires execute)."""

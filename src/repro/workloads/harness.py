@@ -62,7 +62,7 @@ def run_once(
 ) -> RunOutcome:
     """Execute one module to completion on a fresh machine.
 
-    ``engine`` selects the interpreter (``"fast"``/``"reference"``);
+    ``engine`` selects the interpreter (``"block"``/``"reference"``);
     None uses the Machine default.
     """
     machine = Machine(engine=engine)

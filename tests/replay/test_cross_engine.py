@@ -3,10 +3,11 @@ another.
 
 The nondeterminism log records *instruction-count* slice boundaries and
 event positions, so replay must land on identical instruction boundaries
-regardless of which interpreter tier retires them.  The tier-3 block
-engine compiles multi-instruction units, which makes this the sharpest
-test of its slice-boundary contract: a unit that ever straddled a forced
-slice would shift every subsequent event.
+regardless of which interpreter tier retires them.  The block engine
+compiles multi-instruction units, which makes this the sharpest test of
+its slice-boundary contract: a unit that ever straddled a forced slice
+would shift every subsequent event.  The tiers are the production block
+engine and the reference interpreter.
 
 Both directions are exercised over the seeded ``random_crasher``
 programs (locks, sleeps, helper calls, a planted fault): the fast lane
@@ -74,16 +75,16 @@ def assert_cross_replay(run, replay_engine: str) -> None:
 
 
 def assert_both_directions(seed: int) -> None:
-    """Record on fast, replay on block — and vice versa.  The two
+    """Record on reference, replay on block — and vice versa.  The two
     recordings must also carry identical crash signatures: the recording
     tier is not allowed to leave a fingerprint in the evidence."""
-    fast_run = record_random(seed, "fast")
-    assert_cross_replay(fast_run, "block")
+    reference_run = record_random(seed, "reference")
+    assert_cross_replay(reference_run, "block")
     block_run = record_random(seed, "block")
-    assert_cross_replay(block_run, "fast")
-    assert snap_signature(fast_run.snap, fast_run.mapfiles) == snap_signature(
-        block_run.snap, block_run.mapfiles
-    )
+    assert_cross_replay(block_run, "reference")
+    assert snap_signature(
+        reference_run.snap, reference_run.mapfiles
+    ) == snap_signature(block_run.snap, block_run.mapfiles)
 
 
 @pytest.mark.parametrize("seed", FAST_SEEDS)

@@ -1,7 +1,7 @@
 """Differential harness: replayed control flow == reconstructed trace.
 
 The replay contract (tentpole part 2): re-executing a snap's
-nondeterminism log on the fast engine must reproduce the recorded run
+nondeterminism log on the production engine must reproduce the recorded run
 *exactly* — per thread, the same ordered source lines, the same
 exception events, the same fault signature.  This suite proves it
 three ways:

@@ -1,12 +1,15 @@
-"""Differential execution: the fast engine must be bit-identical to the
+"""Differential execution: the block engine must be bit-identical to the
 reference interpreter.
 
-The predecoded dispatch engine (:mod:`repro.vm.dispatch`) is only
-admissible if no program can tell it apart from ``Machine.step()``.
-These tests run the same module under both engines and compare the
-*complete* architectural outcome: final registers, TLS, memory contents,
-trace-buffer words, exception codes and PCs, cycle and instruction
-counts, and program output.
+The production engine (:mod:`repro.vm.blocks` units over the
+:mod:`repro.vm.dispatch` handlers) is only admissible if no program can
+tell it apart from ``Machine.step()``.  These tests run the same module
+under both engines and compare the *complete* architectural outcome:
+final registers, TLS, memory contents, trace-buffer words, exception
+codes and PCs, cycle and instruction counts, and program output.  The
+block engine runs twice: compiling units on demand, and compiling every
+offset on its first entry, so compiled units cover even the one-shot
+code of these short programs.
 
 Coverage comes from two directions:
 
@@ -24,6 +27,7 @@ import random
 
 import pytest
 
+import repro.vm.machine as vm_machine
 from repro.instrument import InstrumentConfig, instrument_module
 from repro.isa.encoding import encode_all
 from repro.isa.instructions import Instr, Op
@@ -91,14 +95,32 @@ def _run_module(make_module, engine, *, instrument=None, max_cycles=5_000_000):
     return _capture(machine, process, status, runtime)
 
 
+#: Entry counts at which the block engine compiles a unit: on demand
+#: (the production setting) and on first entry.
+BLOCK_THRESHOLDS = (vm_machine.HOT_THRESHOLD, 1)
+
+
+def _run_block_at(threshold, make_module, **kwargs):
+    saved = vm_machine.HOT_THRESHOLD
+    vm_machine.HOT_THRESHOLD = threshold
+    try:
+        return _run_module(make_module, "block", **kwargs)
+    finally:
+        vm_machine.HOT_THRESHOLD = saved
+
+
 def assert_engines_agree(make_module, *, instrument=None, max_cycles=5_000_000):
     """Run under every engine and require identical captured state."""
+    kwargs = {"instrument": instrument, "max_cycles": max_cycles}
     states = {
-        engine: _run_module(
-            make_module, engine, instrument=instrument, max_cycles=max_cycles
-        )
+        engine: _run_module(make_module, engine, **kwargs)
         for engine in ENGINES
+        if engine != "block"
     }
+    for threshold in BLOCK_THRESHOLDS:
+        states[f"block@{threshold}"] = _run_block_at(
+            threshold, make_module, **kwargs
+        )
     reference = states["reference"]
     for engine, state in states.items():
         assert state == reference, f"engine {engine!r} diverged from reference"

@@ -48,6 +48,39 @@ def test_or_word():
     assert memory.load(0) == 0b111
 
 
+def test_or_word_uses_the_victim_write_entry(monkeypatch):
+    """Probe ORs alternating with stack writes hit the two write-cache
+    entries: each segment is looked up once, not once per access."""
+    memory = Memory()
+    memory.map_segment(Segment(base=0x100, size=16, name="stack"))
+    memory.map_segment(Segment(base=0x200, size=16, name="trace"))
+    lookups: list[int] = []
+    segment_at = memory.segment_at
+
+    def counting(addr):
+        lookups.append(addr)
+        return segment_at(addr)
+
+    monkeypatch.setattr(memory, "segment_at", counting)
+    for i in range(8):
+        memory.store(0x100 + i, i)
+        memory.or_word(0x200 + i, 1 << i)
+    assert len(lookups) == 2  # one per segment
+    assert [memory.load(0x200 + i) for i in range(8)] == [
+        1 << i for i in range(8)
+    ]
+
+
+def test_trace_hit_needs_a_readable_writable_segment():
+    memory = Memory()
+    memory.map_segment(Segment(base=0x100, size=4, name="trace"))
+    memory.map_segment(Segment(base=0x200, size=4, name="ro", writable=False))
+    assert memory.trace_hit(0x101)[:2] == (0x100, 0x104)
+    # Neither read-only nor unmapped memory replaces the entry.
+    assert memory.trace_hit(0x201)[:2] == (0x100, 0x104)
+    assert memory.trace_hit(0x900)[:2] == (0x100, 0x104)
+
+
 def test_read_cstr():
     memory = Memory()
     memory.map_segment(Segment(base=0, size=8, name="a"))
