@@ -46,7 +46,8 @@
 #   scripts/check.sh tier3       block-compiled engine subsystem: the
 #                                two-tier differential suite, the
 #                                header-probe differential, the tier-3
-#                                unit tests, the full cross-engine
+#                                unit tests, the lone-thread boundary
+#                                sweeps, the full cross-engine
 #                                replay sweep (62 seeded crashers
 #                                recorded on one tier and replayed on
 #                                the other, both directions), and the
@@ -109,8 +110,8 @@ case "${1:-test-fast}" in
     ;;
   tier3)
     python -m pytest -q tests/vm/test_differential.py tests/vm/test_blocks.py \
-      tests/vm/test_probe_differential.py tests/replay/test_cross_engine.py \
-      -m "slow or not slow"
+      tests/vm/test_probe_differential.py tests/vm/test_lone_thread.py \
+      tests/replay/test_cross_engine.py -m "slow or not slow"
     python benchmarks/bench_interpreter.py
     exec python benchmarks/bench_interpreter.py --check
     ;;

@@ -28,9 +28,13 @@ Units are bit-identical to the reference interpreter
   to ``VMFault.pc`` and un-charges the instructions that never retired
   (a per-unit table keyed by faulting pc); partial effects such as the
   sp decrement of ``PUSH`` or ``CALL`` persist, as in the reference;
-* a unit runs only when the rest of the quantum covers it, and a probe
-  exit un-charges what it did not retire, so replay's forced slices and
-  breakpoint stepping land on exact instruction boundaries;
+* a unit runs only when the rest of the slice's budget covers it, and a
+  probe exit un-charges what it did not retire, so replay's forced
+  slices and breakpoint stepping land on exact instruction boundaries.
+  The budget is one quantum, except for a thread alone on its machine
+  and unobserved: its *lone run* spans quanta up to the first boundary
+  the scheduler must stop at, so units run straight through the
+  boundaries in between;
 * units compile from the live decode cache, and
   ``LoadedModule.refresh_decode_cache`` drops them with their entry
   counts, so load-time code rewriting recompiles.
@@ -55,9 +59,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: whole unit, charging the instructions it retires.
 BlockUnit = tuple[int, Callable]
 
-#: Longest unit emitted, in retired instructions: two of these fit the
-#: default QUANTUM=40, so a long straight-line run alternates compiled
-#: units without drifting out of phase with scheduler slices.
+#: Longest unit emitted, in retired instructions.  A lone run's budget
+#: spans quanta, so there a unit runs wherever it starts, except within
+#: this many instructions of the budget's end; a one-quantum slice
+#: (threads sharing a machine, replay, a slice observer) fits at most
+#: two of these (the default QUANTUM=40) and steps the tail of the
+#: quantum on the tier-2 handlers.
 MAX_UNIT = 20
 
 #: Smallest unit worth compiling; a lone terminator gains nothing over
@@ -75,8 +82,9 @@ HOT_THRESHOLD = 256
 
 #: Unit-table entry where no unit starts: a non-fusible instruction
 #: (other than ``BSENT`` and a header probe's ``CALL``) or a hot run too
-#: short to be worth a unit.  Its count exceeds every quantum, so the
-#: slice loop always steps the tier-2 handler there — and, since such an
+#: short to be worth a unit.  Its count exceeds every slice budget
+#: (``machine.NO_LIMIT`` keeps lone runs far below it), so the slice
+#: loop always steps the tier-2 handler there — and, since such an
 #: instruction may transfer control or change thread state, treats
 #: whatever runs next as an entry.
 NO_UNIT: BlockUnit = (1 << 62, None)

@@ -73,6 +73,11 @@ STACK_WORDS = 8192
 #: Scheduler quantum in instructions.
 QUANTUM = 40
 
+#: The cycle limit of a lone run under ``Machine.run(max_cycles=None)``:
+#: beyond any run's reach, yet it keeps a budget far below ``NO_UNIT``'s
+#: count.  Reaching it would only end lone runs at every boundary.
+NO_LIMIT = 1 << 48
+
 
 @dataclass
 class RpcRequest:
@@ -373,6 +378,14 @@ class Machine:
         (live threads exist but none can ever run — a hang/deadlock, the
         case the paper's external snap utility exists for), or
         ``"limit"``.
+
+        Threads run in slices of ``quantum`` instructions.  A thread
+        alone on the machine with no slice hooks to observe it runs, on
+        the block engine, a *lone run*: many quanta in one slice-loop
+        call, up to the first boundary where re-slicing would stop (see
+        :meth:`_run_slice_block`).  Nothing but the slice hooks can see
+        a boundary the run did not stop at, so cycles, output and trace
+        words are those of per-quantum slicing.
         """
         while True:
             if max_cycles is not None and self.cycles >= max_cycles:
@@ -396,31 +409,21 @@ class Machine:
             self._rr_index %= len(runnable)
             thread = runnable[self._rr_index]
             self._rr_index += 1
-            single = len(live) == 1
-            if single:
-                # Spawn epoch *before* the slice: any creation during it
-                # (thread_create, a new process, an RPC service thread
-                # in another process) bumps the counter and must send us
-                # back to the full scheduler.
-                epoch = self.spawn_epoch
-            hooks = self.slice_hooks
-            if hooks:
-                for hook in hooks:
-                    hook.slice_begin(thread)
-                self.run_thread_slice(thread, quantum)
-                for hook in hooks:
-                    hook.slice_end(thread)
-            else:
-                self.run_thread_slice(thread, quantum)
-            if not single:
+            if len(live) > 1:
+                self._scheduled_slice(thread, quantum)
                 continue
             # Single-thread fast path: while this thread is the whole
             # machine (no other thread to wake, schedule, or prefer)
             # and stays runnable, re-slice without rebuilding the
             # bookkeeping lists — the round-robin outcome is forced.
             # Any change in the thread/process population falls back to
-            # the full scheduler.
+            # the full scheduler: the spawn epoch is taken *before* the
+            # first slice, so any creation during one (thread_create, a
+            # new process, an RPC service thread in another process)
+            # bumps the counter past it.
             process = thread.process
+            epoch = self.spawn_epoch
+            lone = (NO_LIMIT if max_cycles is None else max_cycles, epoch)
             while (
                 process.exit_state == ExitState.RUNNING
                 and thread.runnable()
@@ -430,18 +433,33 @@ class Machine:
                 # What the full path's modulo arithmetic leaves behind
                 # for a single runnable thread.
                 self._rr_index = 1
-                hooks = self.slice_hooks
-                if hooks:
-                    for hook in hooks:
-                        hook.slice_begin(thread)
-                    self.run_thread_slice(thread, quantum)
-                    for hook in hooks:
-                        hook.slice_end(thread)
-                else:
-                    self.run_thread_slice(thread, quantum)
+                self._scheduled_slice(thread, quantum, lone)
 
-    def run_thread_slice(self, thread: Thread, quantum: int) -> None:
-        """Run up to ``quantum`` instructions of one thread."""
+    def _scheduled_slice(
+        self, thread: Thread, quantum: int, lone: tuple[int, int] | None = None
+    ) -> None:
+        """One scheduler slice, bracketed by the slice hooks if any; a
+        ``lone`` slice (see :meth:`run_thread_slice`) only without."""
+        hooks = self.slice_hooks
+        if hooks:
+            for hook in hooks:
+                hook.slice_begin(thread)
+            self.run_thread_slice(thread, quantum)
+            for hook in hooks:
+                hook.slice_end(thread)
+        else:
+            self.run_thread_slice(thread, quantum, lone)
+
+    def run_thread_slice(
+        self, thread: Thread, quantum: int, lone: tuple[int, int] | None = None
+    ) -> None:
+        """Run up to ``quantum`` instructions of one thread.
+
+        ``lone`` is :meth:`run`'s cycle limit and spawn epoch for a
+        thread alone on the machine: the block engine then runs a lone
+        run of many quanta (:meth:`_run_slice_block`); the reference
+        engine ignores it and stays the per-quantum oracle.
+        """
         process = thread.process
         if not thread.started:
             thread.started = True
@@ -453,7 +471,7 @@ class Machine:
             if not thread.runnable():
                 return
         if self.engine == "block":
-            self._run_slice_block(thread, process, quantum)
+            self._run_slice_block(thread, process, quantum, lone)
             return
         for _ in range(quantum):
             if not process.alive or not thread.runnable():
@@ -461,19 +479,36 @@ class Machine:
             self.step(thread)
 
     def _run_slice_block(
-        self, thread: Thread, process: Process, quantum: int
+        self,
+        thread: Thread,
+        process: Process,
+        quantum: int,
+        lone: tuple[int, int] | None,
     ) -> None:
         """The production hot loop: compiled units, else tier-2 steps.
 
-        A unit runs only when it fits what is left of the quantum
+        The slice has a *budget* of steps: ``quantum``, or for a lone
+        run every quantum up to the first boundary where :meth:`run`
+        would stop re-slicing — the first with the cycle limit reached,
+        or the next once a thread or process is spawned or a signal is
+        pending.  The thread blocking or its process ending stops it at
+        once, as it stops a slice.  Boundaries are counted in steps, so
+        a step that retires nothing (an unmapped execute) moves them.
+        Ending a lone run early at a boundary is harmless: :meth:`run`
+        checks what it checks there and starts the next one.
+
+        A unit runs only when it fits what is left of the budget
         (counted in retired instructions, which units charge
         themselves), so replay's forced slices and ``chunk=1`` stepping
         stay exact; otherwise one handler step mirrors ``step()``.
         Entries are counted at the slice start, after a unit, a fault
         or a non-fusible instruction, and an offset entered
-        ``HOT_THRESHOLD`` times is compiled on the spot.  The unit and
-        handler lists sit in locals: a decode-cache refresh resets them
-        in place, so code rewriting still takes effect immediately.
+        ``HOT_THRESHOLD`` times is compiled on the spot.  Only such a
+        step can charge cycles beyond one per instruction, spawn, or
+        queue a signal, so a lone budget is re-derived at entries alone.
+        The unit and handler lists sit in locals: a decode-cache refresh
+        resets them in place, so code rewriting still takes effect
+        immediately.
         """
         loader = process.loader
         loaded: LoadedModule | None = thread.code_hint
@@ -489,6 +524,16 @@ class Machine:
         ready = ThreadState.READY
         running = ExitState.RUNNING
         stop = thread.instructions + quantum
+        # Cycles advance one per instruction between entries, so a lone
+        # budget holds while ``skew`` (cycles less instructions), the
+        # epoch and the signal queue do; the first entry derives it.
+        skew = None
+        watch = lone is not None
+        if watch:
+            limit, epoch = lone
+            if (self.spawn_epoch != epoch or process.pending_signals
+                    or self.cycles >= limit):
+                watch = False  # run() stops at the first boundary
         while True:
             # Steps until the pc lands on a unit that fits.  Only a unit,
             # a fault or a NO_UNIT (non-fusible) instruction can change
@@ -502,6 +547,22 @@ class Machine:
                         return
                     if loaded is not None and loaded.unloaded:
                         code_end = 0
+                    if watch and (
+                        self.cycles - thread.instructions != skew
+                        or self.spawn_epoch != epoch
+                        or process.pending_signals
+                    ):
+                        # (Re-)derive the budget: the boundary at or
+                        # after this step where run() would stop.
+                        due = thread.instructions
+                        if self.spawn_epoch != epoch or process.pending_signals:
+                            watch = False
+                        else:
+                            skew = self.cycles - due
+                            due += max(limit - self.cycles, 0)
+                        stop = due + (stop - due) % quantum
+                        unit = None
+                        break
                 pc = thread.pc
                 if pc < code_base or pc >= code_end:
                     loaded = loader.find_code(pc)
@@ -548,6 +609,8 @@ class Machine:
                     entry = True
             else:
                 return
+            if unit is None:
+                continue  # a new budget: count the steps left afresh
             try:
                 unit[1](self, thread)
             except VMFault as fault:
