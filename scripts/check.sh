@@ -29,6 +29,7 @@
 #   scripts/check.sh remote      remote-query + federation subsystem:
 #                                the wire-protocol/client tests, the
 #                                federated scatter-gather tests, the
+#                                --remote/--federate CLI tests, the
 #                                seeded query-chaos fuzz sweep (120+
 #                                seeds), and the federation benchmark
 #                                (fan-out latency + one-slow-vault
@@ -94,7 +95,7 @@ case "${1:-test-fast}" in
     ;;
   remote)
     python -m pytest -q tests/fleet/test_remote.py \
-      tests/fleet/test_federation.py \
+      tests/fleet/test_federation.py tests/fleet/test_cli_wire.py \
       tests/fleet/test_federation_fuzz.py -m "slow or not slow"
     python benchmarks/bench_fleet_federation.py
     exec python benchmarks/bench_fleet_federation.py --check
