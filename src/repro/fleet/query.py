@@ -107,6 +107,57 @@ class Incident:
         }
 
 
+def load_and_reconstruct(
+    store,
+    entry: VaultEntry | str,
+    mapfiles: list[Mapfile] | None = None,
+    salvage: bool = False,
+) -> tuple[ProcessTrace, list[str]]:
+    """Load one stored snap from ``store`` and reconstruct it.
+
+    ``store`` is anything with ``load(digest, salvage)`` and
+    ``mapfiles()``: a :class:`~repro.fleet.store.SnapVault` or a
+    :class:`~repro.fleet.remote.RemoteVaultClient`.  ``mapfiles``
+    defaults to the store's.  Returns ``(trace, archive_notes)``;
+    strict mode raises on damage.
+    """
+    digest = entry if isinstance(entry, str) else entry.digest
+    snap, notes = store.load(digest, salvage=salvage)
+    if snap is None:
+        raise ValueError(
+            f"snap {digest} unrecoverable: {'; '.join(notes) or 'gone'}"
+        )
+    reconstructor = Reconstructor(mapfiles or store.mapfiles())
+    return reconstructor.reconstruct(snap, strict=not salvage), notes
+
+
+def load_and_stitch(
+    store,
+    incident: Incident,
+    mapfiles: list[Mapfile] | None = None,
+    salvage: bool = True,
+) -> DistributedTrace:
+    """Load an incident's snaps from ``store`` and stitch them (§5).
+
+    ``store`` is as for :func:`load_and_reconstruct`.  Archive notes
+    from salvage loads travel per machine into the trace's
+    degradation summary.
+    """
+    snaps = []
+    salvage_notes: dict[str, list[str]] = {}
+    for entry in incident.entries:
+        snap, notes = store.load(entry.digest, salvage=salvage)
+        snaps.append(snap)
+        if notes:
+            salvage_notes.setdefault(entry.machine, []).extend(notes)
+    return Reconstructor(mapfiles or store.mapfiles()).reconstruct_distributed(
+        snaps,
+        strict=not salvage,
+        expected_machines=incident.machines,
+        salvage_notes=salvage_notes,
+    )
+
+
 class VaultQuery:
     """Filter, lazily reconstruct, and group a vault's snaps."""
 
@@ -138,15 +189,8 @@ class VaultQuery:
         ``mapfiles`` defaults to the vault's stored mapfiles.  Returns
         ``(trace, archive_notes)``; strict mode raises on damage.
         """
-        digest = entry if isinstance(entry, str) else entry.digest
-        snap, notes = self.vault.load(digest, salvage=salvage)
-        if snap is None:
-            raise ValueError(
-                f"snap {digest} unrecoverable: {'; '.join(notes) or 'gone'}"
-            )
-        reconstructor = Reconstructor(mapfiles or self.vault.mapfiles())
         self.metrics.reconstructions += 1
-        return reconstructor.reconstruct(snap, strict=not salvage), notes
+        return load_and_reconstruct(self.vault, entry, mapfiles, salvage)
 
     def reconstruct_incident(
         self,
@@ -159,21 +203,8 @@ class VaultQuery:
         Salvage is the default here — incidents are exactly the snaps
         that lived through faults, and a banner beats a traceback.
         """
-        snaps = []
-        salvage_notes: dict[str, list[str]] = {}
-        for entry in incident.entries:
-            snap, notes = self.vault.load(entry.digest, salvage=salvage)
-            snaps.append(snap)
-            if notes:
-                salvage_notes.setdefault(entry.machine, []).extend(notes)
-        reconstructor = Reconstructor(mapfiles or self.vault.mapfiles())
         self.metrics.reconstructions += len(incident.entries)
-        return reconstructor.reconstruct_distributed(
-            snaps,
-            strict=not salvage,
-            expected_machines=incident.machines,
-            salvage_notes=salvage_notes,
-        )
+        return load_and_stitch(self.vault, incident, mapfiles, salvage)
 
     # ------------------------------------------------------------------
     # Incident grouping

@@ -43,11 +43,16 @@ from typing import TYPE_CHECKING
 
 from repro.fleet.collector import backoff_with_jitter
 from repro.fleet.metrics import FleetMetrics
-from repro.fleet.query import Incident, VaultQuery
+from repro.fleet.query import (
+    Incident,
+    VaultQuery,
+    load_and_reconstruct,
+    load_and_stitch,
+)
 from repro.fleet.store import SnapVault, VaultEntry
 from repro.fleet.triage import CrashBucket
 from repro.instrument.mapfile import Mapfile
-from repro.reconstruct import DistributedTrace, ProcessTrace, Reconstructor
+from repro.reconstruct import DistributedTrace, ProcessTrace
 from repro.runtime.archive import decompress_snap, salvage_decompress
 from repro.runtime.snap import SnapFile
 
@@ -493,29 +498,10 @@ class RemoteVaultClient:
         self, entry: VaultEntry | str, salvage: bool = False
     ) -> tuple[ProcessTrace, list[str]]:
         """Reconstruct one remote snap (mirrors VaultQuery)."""
-        digest = entry if isinstance(entry, str) else entry.digest
-        snap, notes = self.load(digest, salvage=salvage)
-        if snap is None:
-            raise ValueError(
-                f"snap {digest} unrecoverable: {'; '.join(notes) or 'gone'}"
-            )
-        reconstructor = Reconstructor(self.mapfiles())
-        return reconstructor.reconstruct(snap, strict=not salvage), notes
+        return load_and_reconstruct(self, entry, salvage=salvage)
 
     def reconstruct_incident(
         self, incident: Incident, salvage: bool = True
     ) -> DistributedTrace:
         """Stitch one incident's remote snaps into a master trace."""
-        snaps = []
-        salvage_notes: dict[str, list[str]] = {}
-        for entry in incident.entries:
-            snap, notes = self.load(entry.digest, salvage=salvage)
-            snaps.append(snap)
-            if notes:
-                salvage_notes.setdefault(entry.machine, []).extend(notes)
-        return Reconstructor(self.mapfiles()).reconstruct_distributed(
-            snaps,
-            strict=not salvage,
-            expected_machines=incident.machines,
-            salvage_notes=salvage_notes,
-        )
+        return load_and_stitch(self, incident, salvage=salvage)

@@ -64,12 +64,7 @@ class CrashBucket:
 
     def describe(self) -> str:
         """One line for ``tbtrace top`` listings."""
-        return (
-            f"[{self.key}] {self.count} snap(s) / "
-            f"{self.incidents} incident(s)  "
-            f"machines {','.join(self.machines)}  "
-            f"seqs {self.first_seq}..{self.last_seq}  {self.sig}"
-        )
+        return describe_bucket(self.to_dict())
 
     def to_dict(self) -> dict:
         return {
@@ -83,6 +78,25 @@ class CrashBucket:
             "processes": self.processes,
             "exemplar": self.exemplar,
         }
+
+
+def describe_bucket(doc: dict) -> str:
+    """One ``tbtrace top`` line for a bucket document.
+
+    Takes :meth:`CrashBucket.to_dict` output or a federated bucket
+    (:func:`repro.fleet.federation.merge_buckets`), which has no ingest
+    seqs because those do not survive federation.
+    """
+    seqs = (
+        f"seqs {doc['first_seq']}..{doc['last_seq']}  "
+        if "first_seq" in doc
+        else ""
+    )
+    return (
+        f"[{doc['key']}] {doc['count']} snap(s) / "
+        f"{doc['incidents']} incident(s)  "
+        f"machines {','.join(doc['machines'])}  {seqs}{doc['sig']}"
+    )
 
 
 def top_buckets(

@@ -208,73 +208,141 @@ def cmd_info(args: argparse.Namespace) -> int:
     return 0 if not info["problems"] else 1
 
 
-def _open_vault(args: argparse.Namespace):
-    from repro.fleet import SnapVault, VaultQuery
-
-    vault = SnapVault(_vault_roots(args)[0])
-    return vault, VaultQuery(vault)
-
-
 def _vault_roots(args: argparse.Namespace) -> list[str]:
     """``--vault`` values as a list (the flag is repeatable)."""
     roots = args.vault
     return roots if isinstance(roots, list) else [roots]
 
 
-def _check_wire_flags(args: argparse.Namespace) -> str | None:
-    """Validate --remote/--federate/--vault combinations."""
-    roots = _vault_roots(args)
-    if args.remote and args.federate:
-        return "--remote and --federate are mutually exclusive"
-    if len(roots) > 1 and not args.federate:
-        return "multiple --vault roots require --federate"
-    if args.timeout is not None and not (args.remote or args.federate):
-        return "--timeout only applies with --remote or --federate"
-    return None
+def _wire_mode(args: argparse.Namespace) -> str:
+    """``local``, ``remote`` or ``federate``, as the flags ask.
 
-
-def _remote_clients(args: argparse.Namespace) -> dict:
-    """Serve each ``--vault`` root in-process and return name -> client.
-
-    The wire is the simulated network: every query goes through the
-    versioned protocol (CRC frames, pagination, deadlines) exactly as a
-    cross-region query would, just without a socket under it.
+    Every flag combination the vault commands refuse is checked here
+    and raised as ``ValueError``.
     """
-    import os
-
-    from repro.distributed.network import Network
-    from repro.fleet import SnapVault
-    from repro.fleet.remote import RemoteVaultClient, VaultService
-
-    network = Network()
-    clients: dict = {}
-    for root in _vault_roots(args):
-        base = os.path.basename(os.path.normpath(root)) or "vault"
-        name, n = base, 1
-        while name in clients:
-            n += 1
-            name = f"{base}-{n}"
-        network.register_vault_service(VaultService(SnapVault(root), name=name))
-        deadline = args.timeout if args.remote and args.timeout else 20_000
-        clients[name] = RemoteVaultClient(network, service=name, deadline=deadline)
-    return clients
+    flags = vars(args)
+    remote, federate = flags.get("remote"), flags.get("federate")
+    if remote and federate:
+        raise ValueError("--remote and --federate are mutually exclusive")
+    if len(_vault_roots(args)) > 1 and not federate:
+        raise ValueError("multiple --vault roots require --federate")
+    mode = "federate" if federate else "remote" if remote else "local"
+    if mode == "local" and flags.get("timeout") is not None:
+        raise ValueError("--timeout only applies with --remote or --federate")
+    if mode != "local" and flags.get("show"):
+        raise ValueError("--show needs a local vault (wire queries list only)")
+    if mode != "local" and flags.get("window") is not None:
+        raise ValueError("--window needs a local vault")
+    return mode
 
 
-def _federated(args: argparse.Namespace):
-    from repro.fleet import FederatedQuery
+class _Source:
+    """The vault(s) the flags name, opened once.
 
-    return FederatedQuery(
-        _remote_clients(args), timeout=args.timeout or 200_000
-    )
+    ``query`` answers ``select``/``incidents``/``top``: a
+    :class:`~repro.fleet.VaultQuery` over a local vault, one
+    :class:`~repro.fleet.RemoteVaultClient` for ``--remote``, or a
+    :class:`~repro.fleet.FederatedQuery` over every root for
+    ``--federate``.  ``store`` loads evidence (the vault, or the
+    client); a federation has none, since its evidence spans vaults.
+    ``where`` names the source in listings.
+
+    The wire is the simulated network: every remote query goes through
+    the versioned protocol (CRC frames, pagination, deadlines) exactly
+    as a cross-region query would, just without a socket under it.
+    """
+
+    def __init__(self, args: argparse.Namespace):
+        import os
+
+        from repro.distributed.network import Network
+        from repro.fleet import (
+            FederatedQuery,
+            RemoteVaultClient,
+            SnapVault,
+            VaultQuery,
+            VaultService,
+        )
+
+        mode = _wire_mode(args)
+        timeout = vars(args).get("timeout")
+        vaults: dict = {}
+        for root in _vault_roots(args):
+            try:
+                vault = SnapVault(root)
+            except (OSError, ValueError) as exc:
+                raise ValueError(f"cannot open vault {root}: {exc}") from exc
+            base = os.path.basename(os.path.normpath(root)) or "vault"
+            name, n = base, 1
+            while name in vaults:
+                n += 1
+                name = f"{base}-{n}"
+            vaults[name] = vault
+        if mode == "local":
+            self.store = next(iter(vaults.values()))
+            self.query = VaultQuery(self.store)
+            self.where = self.store.root
+            return
+        network = Network()
+        deadline = timeout if mode == "remote" and timeout else 20_000
+        clients = {}
+        for name, vault in vaults.items():
+            network.register_vault_service(VaultService(vault, name=name))
+            clients[name] = RemoteVaultClient(
+                network, service=name, deadline=deadline
+            )
+        if mode == "federate":
+            self.store = None
+            self.query = FederatedQuery(clients, timeout=timeout or 200_000)
+            self.where = f"{len(clients)} federated vault(s)"
+        else:
+            name, self.store = next(iter(clients.items()))
+            self.query = self.store
+            self.where = f"remote vault {name!r}"
+
+    def ask(self, op: str, **kwargs):
+        """One query op -> ``(items, FederationReport | None)``.
+
+        A failed wire exchange raises ``ValueError`` with its reason.
+        """
+        from repro.fleet import RemoteQueryError
+
+        try:
+            answer = getattr(self.query, op)(**kwargs)
+        except RemoteQueryError as exc:
+            raise ValueError(str(exc)) from exc
+        return answer if self.store is None else (answer, None)
+
+    def resolve(self, prefix: str):
+        """The one stored entry whose digest starts with ``prefix``."""
+        entries, _report = self.ask("select")
+        matches = [e for e in entries if e.digest.startswith(prefix)]
+        if not matches:
+            raise ValueError(f"no stored snap matches digest {prefix!r}")
+        if len(matches) > 1:
+            raise ValueError(f"digest prefix {prefix!r} is ambiguous")
+        return matches[0]
 
 
-def _print_coverage(report, as_json: bool) -> None:
-    """Per-vault coverage, as a trailing JSON line or indented text."""
+def _doc(item) -> dict:
+    """An answer item as a document (federated buckets already are)."""
+    return item if isinstance(item, dict) else item.to_dict()
+
+
+def _print_answer(items: list, report, as_json: bool) -> None:
+    """JSON lines for ``items`` (``--json``), then federated coverage.
+
+    Coverage is one trailing ``{"federation": ...}`` JSON line, or the
+    report's indented text lines after a text listing.
+    """
     if as_json:
-        print(json.dumps({"federation": report.to_dict()}, sort_keys=True))
-    else:
-        for line in report.describe():
-            print(line)
+        docs = [_doc(item) for item in items]
+        if report is not None:
+            docs.append({"federation": report.to_dict()})
+        for doc in docs:
+            print(json.dumps(doc, sort_keys=True))
+    elif report is not None:
+        print("\n".join(report.describe()))
 
 
 def cmd_collect(args: argparse.Namespace) -> int:
@@ -332,64 +400,20 @@ def cmd_collect(args: argparse.Namespace) -> int:
 
 def cmd_query(args: argparse.Namespace) -> int:
     """``tbtrace query``: filter the vault; --show reconstructs one."""
-    from repro.runtime import ArchiveError
-
-    problem = _check_wire_flags(args)
-    if problem:
-        return _fail(problem)
-    filters = dict(
-        machine=args.machine,
-        process=args.process,
-        reason=args.reason,
-        since=args.since,
-        until=args.until,
-        group=args.group,
-    )
-    if args.remote or args.federate:
-        from repro.fleet.remote import RemoteQueryError
-
-        if args.show:
-            return _fail("--show needs a local vault (wire queries list only)")
-        try:
-            clients = _remote_clients(args)
-        except (OSError, ValueError) as exc:
-            return _fail(f"cannot open vault: {exc}")
-        if args.federate:
-            entries, report = _federated(args).select(**filters)
-        else:
-            try:
-                entries = next(iter(clients.values())).select(**filters)
-            except RemoteQueryError as exc:
-                return _fail(str(exc))
-            report = None
-        if args.json:
-            for entry in entries:
-                print(json.dumps(entry.to_dict(), sort_keys=True))
-        else:
-            print(f"{len(entries)} snap(s) match")
-            for entry in entries:
-                print(
-                    f"  {entry.digest[:12]}  {entry.machine}/{entry.process}"
-                    f"  {entry.reason}  clock {entry.clock}  {entry.size}B"
-                )
-        if report is not None:
-            _print_coverage(report, args.json)
-        return 0
+    filters = ("machine", "process", "reason", "since", "until", "group")
     try:
-        vault, query = _open_vault(args)
-    except (OSError, ValueError) as exc:
-        return _fail(f"cannot open vault {_vault_roots(args)[0]}: {exc}")
+        source = _Source(args)
+        if args.show:
+            entry = source.resolve(args.show)
+        else:
+            entries, report = source.ask(
+                "select", **{name: getattr(args, name) for name in filters}
+            )
+    except ValueError as exc:
+        return _fail(str(exc))
     if args.show:
-        matches = [
-            e for e in vault.index.values() if e.digest.startswith(args.show)
-        ]
-        if not matches:
-            return _fail(f"no stored snap matches digest {args.show!r}")
-        if len(matches) > 1:
-            return _fail(f"digest prefix {args.show!r} is ambiguous")
-        entry = matches[0]
         try:
-            trace, notes = query.reconstruct_entry(
+            trace, notes = source.query.reconstruct_entry(
                 entry, salvage=args.salvage
             )
         except (RecoveryError, ArchiveError, ValueError, OSError) as exc:
@@ -406,191 +430,88 @@ def cmd_query(args: argparse.Namespace) -> int:
         print()
         print(select_view(trace))
         return 0
-    entries = query.select(
-        machine=args.machine,
-        process=args.process,
-        reason=args.reason,
-        since=args.since,
-        until=args.until,
-        group=args.group,
-    )
-    if args.json:
+    if not args.json:
+        print(f"{len(entries)} snap(s) match")
         for entry in entries:
-            print(json.dumps(entry.to_dict(), sort_keys=True))
-        return 0
-    print(f"{len(entries)} snap(s) match")
-    for entry in entries:
-        tags = []
-        if entry.group:
-            tags.append(f"group={entry.group} initiator={entry.initiator}")
-        if entry.sync_ids:
-            tags.append(f"{len(entry.sync_ids)} sync id(s)")
-        print(
-            f"  {entry.digest[:12]}  seq {entry.seq}  {entry.machine}/"
-            f"{entry.process}  {entry.reason}  clock {entry.clock}  "
-            f"{entry.size}B  {' '.join(tags)}"
-        )
+            tags = []
+            if entry.group:
+                tags.append(f"group={entry.group} initiator={entry.initiator}")
+            if entry.sync_ids:
+                tags.append(f"{len(entry.sync_ids)} sync id(s)")
+            print(
+                f"  {entry.digest[:12]}  seq {entry.seq}  {entry.machine}/"
+                f"{entry.process}  {entry.reason}  clock {entry.clock}  "
+                f"{entry.size}B  {' '.join(tags)}"
+            )
+    _print_answer(entries, report, args.json)
     return 0
 
 
 def cmd_incidents(args: argparse.Namespace) -> int:
-    """``tbtrace incidents``: group the vault's snaps and reconstruct."""
-    problem = _check_wire_flags(args)
-    if problem:
-        return _fail(problem)
-    if args.remote or args.federate:
-        from repro.fleet.remote import RemoteQueryError
+    """``tbtrace incidents``: group the vault's snaps and reconstruct.
 
-        if args.window is not None:
-            return _fail("--window needs a local vault")
-        try:
-            clients = _remote_clients(args)
-        except (OSError, ValueError) as exc:
-            return _fail(f"cannot open vault: {exc}")
-        report = None
-        if args.federate:
-            incidents, report = _federated(args).incidents()
-        else:
-            try:
-                incidents = next(iter(clients.values())).incidents()
-            except RemoteQueryError as exc:
-                return _fail(str(exc))
-        if args.json:
-            for incident in incidents:
-                print(json.dumps(incident.to_dict(), sort_keys=True))
-            if report is not None:
-                _print_coverage(report, as_json=True)
-            return 0
-        where = (
-            f"{len(clients)} federated vault(s)"
-            if args.federate
-            else f"remote vault {next(iter(clients))!r}"
-        )
-        print(f"{len(incidents)} incident(s) in {where}")
-        for incident in incidents:
-            print(incident.describe())
-            for entry in incident.entries:
-                print(
-                    f"    {entry.digest[:12]}  {entry.machine}/"
-                    f"{entry.process}  {entry.reason}"
-                )
-            if args.list or args.federate:
-                # Federated entries span vaults; evidence fetch is a
-                # per-vault operation — listing only.
-                continue
-            client = next(iter(clients.values()))
-            try:
-                trace = client.reconstruct_incident(
-                    incident, salvage=not args.strict
-                )
-            except (RecoveryError, RemoteQueryError, ValueError) as exc:
-                print(f"    reconstruction failed: {exc}")
-                continue
-            if trace.degradation is not None and trace.degradation.degraded:
-                print(render_degradation(trace.degradation))
-            print(render_distributed(trace))
-        if report is not None:
-            _print_coverage(report, as_json=False)
-        return 0
+    A federation lists only: its incidents span vaults, and evidence
+    fetch is a per-vault operation.
+    """
+    # No explicit window: serve straight from the persisted incident
+    # index (O(result), built at ingest).
+    window = {} if args.window is None else {"window": args.window}
     try:
-        vault, query = _open_vault(args)
-    except (OSError, ValueError) as exc:
-        return _fail(f"cannot open vault {_vault_roots(args)[0]}: {exc}")
-    if args.window is None:
-        # No explicit window: serve straight from the persisted
-        # incident index (O(result), built at ingest).
-        incidents = query.incidents()
-    else:
-        incidents = query.incidents(window=args.window)
-    if args.json:
+        source = _Source(args)
+        incidents, report = source.ask("incidents", **window)
+    except ValueError as exc:
+        return _fail(str(exc))
+    if not args.json:
+        print(f"{len(incidents)} incident(s) in {source.where}")
         for incident in incidents:
-            print(json.dumps(incident.to_dict(), sort_keys=True))
-        return 0
-    print(f"{len(incidents)} incident(s) in {vault.root}")
-    for incident in incidents:
-        print(incident.describe())
-        for entry in incident.entries:
-            print(
-                f"    {entry.digest[:12]}  {entry.machine}/{entry.process}  "
-                f"{entry.reason}"
-            )
-        if args.list:
-            continue
-        try:
-            trace = query.reconstruct_incident(
-                incident, salvage=not args.strict
-            )
-        except (RecoveryError, ValueError) as exc:
-            print(f"    reconstruction failed: {exc}")
-            continue
-        if trace.degradation is not None and trace.degradation.degraded:
-            print(render_degradation(trace.degradation))
-        print(render_distributed(trace))
+            _print_incident(source, incident, args)
+    _print_answer(incidents, report, args.json)
     return 0
+
+
+def _print_incident(source: _Source, incident, args: argparse.Namespace):
+    """One incident's listing, then its reconstruction unless listing only."""
+    from repro.fleet import RemoteQueryError
+
+    print(incident.describe())
+    for entry in incident.entries:
+        print(
+            f"    {entry.digest[:12]}  {entry.machine}/{entry.process}  "
+            f"{entry.reason}"
+        )
+    if args.list or source.store is None:
+        return
+    try:
+        trace = source.query.reconstruct_incident(
+            incident, salvage=not args.strict
+        )
+    except (RecoveryError, RemoteQueryError, ValueError) as exc:
+        print(f"    reconstruction failed: {exc}")
+        return
+    if trace.degradation is not None and trace.degradation.degraded:
+        print(render_degradation(trace.degradation))
+    print(render_distributed(trace))
 
 
 def cmd_top(args: argparse.Namespace) -> int:
     """``tbtrace top``: ranked crash buckets — the fleet's top crashers."""
-    problem = _check_wire_flags(args)
-    if problem:
-        return _fail(problem)
-    if args.remote or args.federate:
-        from repro.fleet.remote import RemoteQueryError
+    from repro.fleet.triage import describe_bucket
 
-        try:
-            clients = _remote_clients(args)
-        except (OSError, ValueError) as exc:
-            return _fail(f"cannot open vault: {exc}")
-        if args.federate:
-            buckets, report = _federated(args).top(limit=args.limit)
-            if args.json:
-                for bucket in buckets:
-                    print(json.dumps(bucket, sort_keys=True))
-                _print_coverage(report, as_json=True)
-                return 0
-            print(
-                f"{len(buckets)} crash bucket(s) across "
-                f"{len(clients)} federated vault(s)"
-            )
-            for rank, bucket in enumerate(buckets, start=1):
-                print(
-                    f"  #{rank} [{bucket['key']}] {bucket['count']} snap(s) "
-                    f"in {bucket['incidents']} incident(s) on "
-                    f"{len(bucket['machines'])} machine(s): {bucket['sig']}"
-                )
-            _print_coverage(report, as_json=False)
-            return 0
-        try:
-            buckets = next(iter(clients.values())).top(limit=args.limit)
-        except RemoteQueryError as exc:
-            return _fail(str(exc))
-        if args.json:
-            for bucket in buckets:
-                print(json.dumps(bucket.to_dict(), sort_keys=True))
-            return 0
+    try:
+        source = _Source(args)
+        buckets, report = source.ask("top", limit=args.limit)
+        entries = [] if args.json else source.ask("select")[0]
+    except ValueError as exc:
+        return _fail(str(exc))
+    if not args.json:
+        bucketed = sum(1 for e in entries if e.sig is not None)
         print(
-            f"{len(buckets)} crash bucket(s) in remote vault "
-            f"{next(iter(clients))!r}"
+            f"{len(buckets)} crash bucket(s) in {source.where} "
+            f"({bucketed}/{len(entries)} snap(s) bucketed)"
         )
         for rank, bucket in enumerate(buckets, start=1):
-            print(f"  #{rank} {bucket.describe()}")
-        return 0
-    try:
-        vault, query = _open_vault(args)
-    except (OSError, ValueError) as exc:
-        return _fail(f"cannot open vault {_vault_roots(args)[0]}: {exc}")
-    buckets = query.top(limit=args.limit)
-    if args.json:
-        for bucket in buckets:
-            print(json.dumps(bucket.to_dict(), sort_keys=True))
-        return 0
-    fault_snaps = sum(1 for e in vault.index.values() if e.sig is not None)
-    print(
-        f"{len(buckets)} crash bucket(s) in {vault.root} "
-        f"({fault_snaps}/{len(vault)} snap(s) bucketed)"
-    )
-    for rank, bucket in enumerate(buckets, start=1):
-        print(f"  #{rank} {bucket.describe()}")
+            print(f"  #{rank} {describe_bucket(_doc(bucket))}")
+    _print_answer(buckets, report, args.json)
     return 0
 
 
@@ -647,9 +568,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     )
 
     try:
-        _vault, query = _open_vault(args)
-    except (OSError, ValueError) as exc:
-        return _fail(f"cannot open vault {args.vault}: {exc}")
+        query = _Source(args).query
+    except ValueError as exc:
+        return _fail(str(exc))
     report = build_report(
         query,
         limit=args.limit,
@@ -680,34 +601,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def _replay_resolve(args: argparse.Namespace):
     """Resolve a digest prefix to ``(digest, snap)`` — local or remote."""
-    if args.remote:
-        from repro.fleet.remote import RemoteQueryError
-
-        try:
-            clients = _remote_clients(args)
-        except (OSError, ValueError) as exc:
-            raise ValueError(f"cannot open vault: {exc}") from exc
-        client = next(iter(clients.values()))
-        try:
-            entries = client.select()
-        except RemoteQueryError as exc:
-            raise ValueError(str(exc)) from exc
-        matches = [e for e in entries if e.digest.startswith(args.digest)]
-        loader = client.load
-    else:
-        from repro.fleet import SnapVault
-
-        vault = SnapVault(_vault_roots(args)[0])
-        matches = [
-            e for e in vault.index.values() if e.digest.startswith(args.digest)
-        ]
-        loader = vault.load
-    if not matches:
-        raise ValueError(f"no stored snap matches digest {args.digest!r}")
-    if len(matches) > 1:
-        raise ValueError(f"digest prefix {args.digest!r} is ambiguous")
-    digest = matches[0].digest
-    snap, _notes = loader(digest, salvage=True)
+    source = _Source(args)
+    digest = source.resolve(args.digest).digest
+    snap, _notes = source.store.load(digest, salvage=True)
     if snap is None:
         raise ValueError(f"snap {digest[:12]} unrecoverable")
     return digest, snap
@@ -822,12 +718,13 @@ def _replay_interactive(engine) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     """``tbtrace replay <digest>``: time-travel debug a stored snap."""
+    from repro.fleet import RemoteQueryError
     from repro.replay import ReplayDivergence, ReplayUnavailable
     from repro.replay.engine import ReplayEngine
 
     try:
         digest, snap = _replay_resolve(args)
-    except (OSError, ValueError, ArchiveError) as exc:
+    except (OSError, ValueError, ArchiveError, RemoteQueryError) as exc:
         return _fail(str(exc))
     print(
         f"replaying {digest[:12]}: {snap.reason} in {snap.process_name} "
@@ -876,9 +773,9 @@ def cmd_gc(args: argparse.Namespace) -> int:
     from repro.fleet.retention import RetentionError, RetentionPolicy
 
     try:
-        vault, _query = _open_vault(args)
-    except (OSError, ValueError) as exc:
-        return _fail(f"cannot open vault {args.vault}: {exc}")
+        vault = _Source(args).store
+    except ValueError as exc:
+        return _fail(str(exc))
     try:
         policy = RetentionPolicy(
             max_age=args.max_age,

@@ -91,6 +91,18 @@ def test_remote_query_text(demo, capsys):
             for line in lines[1:]
         )
     assert "federation coverage" not in out
+    # One render path: the wire listing is the local listing.
+    assert run(capsys, "query", "--vault", demo)[1] == out
+
+
+@pytest.mark.parametrize("what", ["incidents", "top"])
+def test_remote_text_equals_local_but_for_where(demo, capsys, what):
+    _, local, _ = run(capsys, what, "--vault", demo)
+    rc, remote, _ = run(capsys, what, "--vault", demo, "--remote")
+    assert rc == 0
+    assert remote == local.replace(
+        f" in {demo}", " in remote vault 'demo'", 1
+    )
 
 
 def test_remote_query_filters(demo, capsys):
@@ -124,9 +136,11 @@ def test_remote_top_text(demo, capsys):
     rc, out, _ = run(capsys, "top", "--vault", demo, "--remote")
     assert rc == 0
     lines = out.splitlines()
-    assert lines[0].startswith("1 crash bucket(s) in remote vault 'demo'")
+    assert lines[0] == (
+        "1 crash bucket(s) in remote vault 'demo' (1/3 snap(s) bucketed)"
+    )
     assert lines[1].startswith("  #1 [")
-    assert lines[1].endswith(SIG)
+    assert lines[1].endswith(f"  seqs 0..2  {SIG}")
 
 
 def test_remote_timeout_fails_cleanly(demo, capsys):
@@ -225,6 +239,7 @@ def test_federated_query_text(fleet, capsys):
     assert lines[0] == "3 snap(s) match"
     listed = [line.split()[0] for line in lines[1:4]]
     assert listed == [d[:12] for d in all_digests(roots)]
+    assert all("  seq " in line and "sync id(s)" in line for line in lines[1:4])
     assert lines[4] == "federation coverage: full"
     assert len(lines) == 5 + len(roots)
 
@@ -244,9 +259,16 @@ def test_federated_top_text(fleet, capsys):
     rc, out, _ = run(capsys, "top", *vault_args(roots), "--federate")
     assert rc == 0
     lines = out.splitlines()
-    assert lines[0].startswith("1 crash bucket(s) ")
-    assert f"{len(roots)} federated vault(s)" in lines[0]
-    assert lines[1].startswith("  #1 [") and lines[1].endswith(SIG)
+    assert lines[0] == (
+        f"1 crash bucket(s) in {len(roots)} federated vault(s) "
+        "(1/3 snap(s) bucketed)"
+    )
+    key = local_docs(roots[0], "top")[0]["key"]
+    # Federated buckets carry no ingest seqs.
+    assert lines[1] == (
+        f"  #1 [{key}] 3 snap(s) / 1 incident(s)  "
+        f"machines {','.join(MACHINES)}  {SIG}"
+    )
     assert "federation coverage: full" in lines
 
 
@@ -271,6 +293,17 @@ def test_wire_flag_refusals(demo, regions, capsys, what, extra, message):
     assert rc == 1
     assert out == ""
     assert err == f"tbtrace: error: {message}\n"
+
+
+def test_replay_timeout_needs_remote(demo, capsys):
+    rc, out, err = run(
+        capsys, "replay", "abcd", "--vault", demo, "--timeout", "5"
+    )
+    assert rc == 1
+    assert out == ""
+    assert err == (
+        "tbtrace: error: --timeout only applies with --remote or --federate\n"
+    )
 
 
 @pytest.mark.parametrize("wire", ["--remote", "--federate"])
