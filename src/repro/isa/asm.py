@@ -106,7 +106,9 @@ class Assembler:
         self._data: dict[str, _Section] = {"data": _Section(), "rodata": _Section()}
         self._data_relocs: list[Reloc] = []
         self._symbols: dict[str, tuple[str, int]] = {}
-        self._exports: set[str] = set()
+        #: ``.export`` names in declaration order (a dict, not a set, so
+        #: ``Module.exports`` does not follow the string-hash seed).
+        self._exports: dict[str, None] = {}
         self._current_func: tuple[str, int] | None = None
         self._pending_handlers: list[tuple[str, str, str, int | None, int]] = []
         self._func_handler_counts: dict[str, int] = {}
@@ -161,7 +163,7 @@ class Assembler:
             if symbol not in self.module.imports:
                 self.module.imports.append(symbol)
         elif name == ".export":
-            self._exports.add(rest.strip())
+            self._exports[rest.strip()] = None
         elif name in (".code", ".text"):
             self._section = "code"
         elif name == ".data":

@@ -19,8 +19,8 @@ Container format v2 (``TBSZ2``)::
 
 The CRC32 per blob and the body-length word exist because snaps travel:
 a connection cut mid-transfer used to yield a silently short word list
-or a raw ``struct.error``.  v1 containers (no checksums) remain
-readable.  :func:`salvage_decompress` recovers what it can from a torn
+or a raw ``struct.error``.  v1 containers (``TBSZ1``: no checksums,
+no length word) remain readable but are no longer written.  :func:`salvage_decompress` recovers what it can from a torn
 or bit-flipped container instead of raising.
 """
 
@@ -78,31 +78,22 @@ def unpack_words(data: bytes) -> list[int]:
     return unpacked.tolist()
 
 
-def _pack_body(snap: SnapFile, with_crc: bool) -> bytes:
+def compress_snap(snap: SnapFile, level: int = 6) -> bytes:
+    """One self-contained compressed ``TBSZ2`` artifact for a snap.
+
+    Buffer words are packed as raw little-endian 32-bit data (where the
+    repetitive structure lives) and the metadata rides along as JSON;
+    the whole payload is deflated.  Legacy ``TBSZ1`` containers are
+    read, never written.
+    """
     payload = snap.to_dict()
     blobs: list[bytes] = []
     for buffer in payload["buffers"]:
         blob = pack_words(buffer["words"])
-        marker = ["blob", len(blobs), len(blob)]
-        if with_crc:
-            marker.append(zlib.crc32(blob))
-        buffer["words"] = marker
+        buffer["words"] = ["blob", len(blobs), len(blob), zlib.crc32(blob)]
         blobs.append(blob)
     header = json.dumps(payload).encode()
-    return _U32.pack(len(header)) + header + b"".join(blobs)
-
-
-def compress_snap(snap: SnapFile, level: int = 6, version: int = 2) -> bytes:
-    """One self-contained compressed artifact for a snap.
-
-    Buffer words are packed as raw little-endian 32-bit data (where the
-    repetitive structure lives) and the metadata rides along as JSON;
-    the whole payload is deflated.  ``version=1`` writes the legacy
-    un-checksummed container (kept for compatibility tests).
-    """
-    if version == 1:
-        return MAGIC_V1 + zlib.compress(_pack_body(snap, with_crc=False), level)
-    body = _pack_body(snap, with_crc=True)
+    body = _U32.pack(len(header)) + header + b"".join(blobs)
     return MAGIC + _U32.pack(len(body)) + zlib.compress(body, level)
 
 

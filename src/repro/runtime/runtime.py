@@ -90,13 +90,10 @@ class RuntimeConfig:
     dagbase: "DagBaseFile | None" = None
     scavenge_interval: int = 32  # wraps between dead-thread scans
     include_memory: bool | None = None  # None = follow policy
-    #: Record a nondeterminism log so snaps taken by this runtime can
-    #: be deterministically replayed (repro.replay).
+    #: Record a nondeterminism log (packed ``tb-ndlog/2``) so snaps
+    #: taken by this runtime can be deterministically replayed
+    #: (repro.replay).
     record_replay: bool = False
-    #: Which ndlog wire format snaps embed: 2 = packed columnar
-    #: ``tb-ndlog/2`` (default), 1 = plain-JSON ``tb-ndlog/1``.  Replay
-    #: accepts both; this only sets what new snaps carry.
-    ndlog_version: int = 2
 
 
 @dataclass
@@ -677,9 +674,7 @@ class TraceBackRuntime(ProcessHooks):
             }
         }
         if self.recorder is not None:
-            replay["ndlog"] = self.recorder.to_dict(
-                version=self.config.ndlog_version
-            )
+            replay["ndlog"] = self.recorder.to_dict()
         return SnapFile(
             reason=reason,
             detail=detail,

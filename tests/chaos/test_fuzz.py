@@ -167,7 +167,11 @@ int main() {
 
 @pytest.fixture(scope="module", params=[1, 2], ids=["ndlog-v1", "ndlog-v2"])
 def recorded_snap(request):
-    """One recorded crash snap per ndlog wire format (v1 and v2)."""
+    """One recorded crash snap per ndlog wire format (v1 and v2).
+
+    Snaps carry packed ``tb-ndlog/2``; the v1 snap swaps in the same
+    recording re-serialized as plain-JSON ``tb-ndlog/1``.
+    """
     from repro.api import TraceSession
     from repro.runtime import RuntimeConfig, SnapPolicy
     from repro.runtime.sync import reset_runtime_ids
@@ -178,13 +182,16 @@ def recorded_snap(request):
         runtime_config=RuntimeConfig(
             policy=SnapPolicy.parse("snap on unhandled"),
             record_replay=True,
-            ndlog_version=request.param,
         ),
     )
     session.add_minic(CRASHER, name="crasher", file_name="crasher.c")
     run = session.run(max_cycles=2_000_000)
     assert run.snap is not None and run.snap.replayable == "full"
-    return run.snap
+    if request.param == 2:
+        return run.snap
+    snap = copy_snap(run.snap)
+    snap.replay["ndlog"] = run.runtime.recorder.to_dict(version=1)
+    return snap
 
 
 @pytest.mark.parametrize("seed", range(12))

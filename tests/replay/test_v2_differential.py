@@ -1,10 +1,11 @@
 """v1-vs-v2 differential sweep: both wire formats replay one recording
 to the identical fault on every engine tier.
 
-The VM is deterministic given ``reset_runtime_ids()`` and a fixed
-program, so recording the same seeded crasher twice — once with
-``ndlog_version=1``, once with ``ndlog_version=2`` — captures the same
-run in both formats.  The oracle replays each log on each interpreter
+Each seeded crasher is recorded once: its snap carries the packed
+``tb-ndlog/2`` log, and the recorder re-serializes the same events as
+a plain-JSON ``tb-ndlog/1`` log for a twin snap.  (Read after the run,
+the v1 log's last slice is closed rather than partial; the replay
+must still stop at the same fault.)  The oracle replays each log on each interpreter
 tier and asserts the replays are event-identical: same fault pc/code,
 same per-thread control flow, same crash signature.  Coalescing makes
 the v2 *log* shorter than the v1 log; it must never make the *replay*
@@ -24,6 +25,7 @@ from repro.reconstruct import (
     snap_signature,
 )
 from repro.replay import NDLOG_FORMAT, NDLOG_FORMAT_V2, ReplayEngine
+from repro.chaos import copy_snap
 from repro.runtime import RuntimeConfig, SnapPolicy
 from repro.runtime.sync import reset_runtime_ids
 from repro.vm.machine import ENGINES
@@ -33,14 +35,13 @@ FAST_SEEDS = range(6)
 SLOW_SEEDS = range(6, 62)
 
 
-def _record(seed: int, version: int):
+def _record(seed: int):
     reset_runtime_ids()
     session = TraceSession(
         process_name=f"rnd{seed}",
         runtime_config=RuntimeConfig(
             policy=SnapPolicy.parse("snap on unhandled"),
             record_replay=True,
-            ndlog_version=version,
         ),
     )
     session.add_minic(random_crasher(seed), name="rnd", file_name="rnd.c")
@@ -48,14 +49,15 @@ def _record(seed: int, version: int):
 
 
 def assert_v1_v2_equivalent(seed: int, engines) -> None:
-    run_v1 = _record(seed, 1)
-    run_v2 = _record(seed, 2)
-    snap_v1, snap_v2 = run_v1.snap, run_v2.snap
-    assert snap_v1 is not None and snap_v2 is not None
+    run = _record(seed)
+    snap_v2 = run.snap
+    assert snap_v2 is not None
+    snap_v1 = copy_snap(snap_v2)
+    snap_v1.replay["ndlog"] = run.runtime.recorder.to_dict(version=1)
     assert snap_v1.replay["ndlog"]["format"] == NDLOG_FORMAT
     assert snap_v2.replay["ndlog"]["format"] == NDLOG_FORMAT_V2
     # Same run, so the recorded evidence mines to the same signature.
-    mapfiles = run_v1.mapfiles
+    mapfiles = run.mapfiles
     assert snap_signature(snap_v1, mapfiles) == snap_signature(
         snap_v2, mapfiles
     )
