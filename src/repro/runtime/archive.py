@@ -20,8 +20,9 @@ Container format v2 (``TBSZ2``)::
 The CRC32 per blob and the body-length word exist because snaps travel:
 a connection cut mid-transfer used to yield a silently short word list
 or a raw ``struct.error``.  v1 containers (``TBSZ1``: no checksums,
-no length word) remain readable but are no longer written.  :func:`salvage_decompress` recovers what it can from a torn
-or bit-flipped container instead of raising.
+no length word) remain readable but are no longer written.
+:func:`salvage_decompress` recovers what it can from a torn or
+bit-flipped container instead of raising.
 """
 
 from __future__ import annotations

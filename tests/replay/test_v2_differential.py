@@ -5,11 +5,11 @@ Each seeded crasher is recorded once: its snap carries the packed
 ``tb-ndlog/2`` log, and the recorder re-serializes the same events as
 a plain-JSON ``tb-ndlog/1`` log for a twin snap.  (Read after the run,
 the v1 log's last slice is closed rather than partial; the replay
-must still stop at the same fault.)  The oracle replays each log on each interpreter
-tier and asserts the replays are event-identical: same fault pc/code,
-same per-thread control flow, same crash signature.  Coalescing makes
-the v2 *log* shorter than the v1 log; it must never make the *replay*
-different.
+must still stop at the same fault.)  The oracle replays each log on
+each interpreter tier and asserts the replays are event-identical:
+same fault pc/code, same per-thread control flow, same crash
+signature.  Coalescing makes the v2 *log* shorter than the v1 log; it
+must never make the *replay* different.
 
 Seeds 0..5 run in the default lane; the full 62-seed sweep is ``slow``
 (run via ``scripts/check.sh replay``).
@@ -18,6 +18,7 @@ Seeds 0..5 run in the default lane; the full 62-seed sweep is ``slow``
 import pytest
 
 from repro import TraceSession
+from repro.chaos import copy_snap
 from repro.reconstruct import (
     Reconstructor,
     control_flow_signature,
@@ -25,7 +26,6 @@ from repro.reconstruct import (
     snap_signature,
 )
 from repro.replay import NDLOG_FORMAT, NDLOG_FORMAT_V2, ReplayEngine
-from repro.chaos import copy_snap
 from repro.runtime import RuntimeConfig, SnapPolicy
 from repro.runtime.sync import reset_runtime_ids
 from repro.vm.machine import ENGINES
