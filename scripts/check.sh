@@ -48,7 +48,10 @@
 #                                two-tier differential suite, the
 #                                header-probe differential, the tier-3
 #                                unit tests, the lone-thread boundary
-#                                sweeps, the full cross-engine
+#                                sweeps, the one-pass scheduler against
+#                                its list-rebuilding oracle (every seed),
+#                                the per-thread segment-cache stale-entry
+#                                tests, the full cross-engine
 #                                replay sweep (62 seeded crashers
 #                                recorded on one tier and replayed on
 #                                the other, both directions), and the
@@ -112,6 +115,7 @@ case "${1:-test-fast}" in
   tier3)
     python -m pytest -q tests/vm/test_differential.py tests/vm/test_blocks.py \
       tests/vm/test_probe_differential.py tests/vm/test_lone_thread.py \
+      tests/vm/test_scheduler.py tests/vm/test_segment_cache.py \
       tests/replay/test_cross_engine.py -m "slow or not slow"
     python benchmarks/bench_interpreter.py
     exec python benchmarks/bench_interpreter.py --check

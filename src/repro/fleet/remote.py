@@ -154,7 +154,7 @@ class VaultService:
             return True
         if self.machine is None:
             return False
-        return bool(self.machine._live_threads())
+        return self.machine.live_thread_count() > 0
 
     # ------------------------------------------------------------------
     def handle_wire(self, data: bytes) -> bytes:

@@ -188,7 +188,7 @@ class ReplayEngine:
         if thread is None:
             raise ReplayDivergence(f"slice for unknown thread {tid}")
         self._force_cycles(start_cycle, f"slice tid={tid}")
-        self.machine._wake_sleepers()
+        self.machine.wake_sleepers()
         if not thread.runnable():
             raise ReplayDivergence(
                 f"recorded slice for thread {tid} but it is "

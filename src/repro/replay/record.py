@@ -80,10 +80,11 @@ class ReplayRecorder(ProcessHooks):
         if opened is None:
             return
         t, start_cycle, start_instr = opened
-        self._append(
-            ["s", t.tid, start_cycle, t.instructions - start_instr, t.pc],
-            end_cycle=self.machine.cycles,
+        # _append, inline: this runs once per scheduler slice.
+        self.events.append(
+            ["s", t.tid, start_cycle, t.instructions - start_instr, t.pc]
         )
+        self._end_cycles.append(self.machine.cycles)
 
     def _append(self, event: list, end_cycle: int | None = None) -> None:
         self.events.append(event)

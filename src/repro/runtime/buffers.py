@@ -58,6 +58,12 @@ class TraceBuffer:
     sub_size: int
     flags: int = 0
 
+    def __post_init__(self) -> None:
+        #: One past the buffer's last guest address (the geometry never
+        #: changes, and the runtime looks buffers up by address on
+        #: every record it writes).
+        self.end_addr = self.base + HEADER_WORDS + self.sub_count * self.sub_size
+
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
@@ -137,15 +143,6 @@ class TraceBuffer:
         """Guest address of the first record slot (sub-buffer 0)."""
         return self.to_addr(self.sub_start(0))
 
-    @property
-    def end_addr(self) -> int:
-        """One past the buffer's last guest address."""
-        return self.base + HEADER_WORDS + self.sub_count * self.sub_size
-
-    def contains_addr(self, addr: int) -> bool:
-        """Whether a guest address lies in this buffer's data area."""
-        return self.base <= addr < self.end_addr
-
     # ------------------------------------------------------------------
     # Header fields
     # ------------------------------------------------------------------
@@ -220,15 +217,18 @@ class TraceBuffer:
         encoded = record.encode()
         words = [encoded] if isinstance(encoded, int) else encoded
         pos = cursor_rel + 1
-        sub = self.sub_of(pos) if pos >= HEADER_WORDS else 0
         if pos < HEADER_WORDS:
-            pos = self.sub_start(0)
-            sub = 0
-        if pos + len(words) > self.sub_end(sub):
-            pos = self.wrap_from(self.sub_end(sub))
-        for offset, word in enumerate(words):
-            self.mapped.words[pos + offset] = word
-        return pos + len(words) - 1
+            pos = HEADER_WORDS
+        size = self.sub_size
+        # The sentinel ending pos's sub-buffer (sub_end of sub_of(pos)).
+        sentinel = pos + size - 1 - (pos - HEADER_WORDS) % size
+        if pos + len(words) > sentinel:
+            pos = self.wrap_from(sentinel)
+        buffer_words = self.mapped.words
+        for word in words:
+            buffer_words[pos] = word
+            pos += 1
+        return pos - 1
 
     # ------------------------------------------------------------------
     def snapshot(self) -> list[int]:

@@ -219,7 +219,7 @@ class TraceBackRuntime(ProcessHooks):
 
     def _buffer_of_addr(self, addr: int) -> TraceBuffer | None:
         for buf in self._all_buffers:
-            if buf.contains_addr(addr):
+            if buf.base <= addr < buf.end_addr:
                 return buf
         return None
 
@@ -350,13 +350,13 @@ class TraceBackRuntime(ProcessHooks):
         assigned; threads in shared buffers get best-effort writes.
         Returns True when the record landed (or was queued).
         """
-        buf = self.buffer_of_thread(thread)
+        slot = self.config.trace_slot
+        buf = self._buffer_of_addr(thread.tls[slot])
         if buf is None or buf.flags & BufferFlags.PROBATION:
             self._pending.setdefault(thread.tid, []).append(record)
             return True
-        cursor = buf.to_rel(thread.tls[self.config.trace_slot])
-        cursor = self._append(buf, cursor, record)
-        thread.tls[self.config.trace_slot] = buf.to_addr(cursor)
+        cursor = self._append(buf, thread.tls[slot] - buf.base, record)
+        thread.tls[slot] = buf.base + cursor
         return True
 
     def _now_payload(self) -> tuple[int, int]:

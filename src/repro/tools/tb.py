@@ -236,6 +236,21 @@ def _wire_mode(args: argparse.Namespace) -> str:
     return mode
 
 
+def _open_vault(root: str):
+    """Open the existing vault at ``root``; a missing root is a
+    ``ValueError`` and creates nothing (only ``collect`` makes vaults)."""
+    import os
+
+    from repro.fleet import SnapVault
+
+    if not os.path.isdir(root):
+        raise ValueError(f"cannot open vault {root}: no such directory")
+    try:
+        return SnapVault(root)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot open vault {root}: {exc}") from exc
+
+
 class _Source:
     """The vault(s) the flags name, opened once.
 
@@ -259,7 +274,6 @@ class _Source:
         from repro.fleet import (
             FederatedQuery,
             RemoteVaultClient,
-            SnapVault,
             VaultQuery,
             VaultService,
         )
@@ -268,10 +282,7 @@ class _Source:
         timeout = vars(args).get("timeout")
         vaults: dict = {}
         for root in _vault_roots(args):
-            try:
-                vault = SnapVault(root)
-            except (OSError, ValueError) as exc:
-                raise ValueError(f"cannot open vault {root}: {exc}") from exc
+            vault = _open_vault(root)
             base = os.path.basename(os.path.normpath(root)) or "vault"
             name, n = base, 1
             while name in vaults:
@@ -524,7 +535,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     exchange through CRC-checked frames and the summary is printed.
     """
     from repro.distributed.network import Network
-    from repro.fleet import SnapVault
     from repro.fleet.remote import (
         PROTOCOL,
         RemoteQueryError,
@@ -533,9 +543,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
 
     try:
-        vault = SnapVault(args.vault)
-    except (OSError, ValueError) as exc:
-        return _fail(f"cannot open vault {args.vault}: {exc}")
+        vault = _open_vault(args.vault)
+    except ValueError as exc:
+        return _fail(str(exc))
     network = Network()
     server = VaultService(vault, name=args.name, page_limit=args.page_limit)
     network.register_vault_service(server)

@@ -375,29 +375,53 @@ def _build_one(
             thread.tls[imm] = thread.regs[rd]
             thread.pc = nxt
 
+    # The probe ops go through the trace-buffer entry first, as in
+    # compiled units (repro.vm.blocks), so trace records never evict
+    # the stack or data from the read/write entries; anything outside
+    # a readable, writable segment takes the Memory path and faults
+    # there.
     elif op is Op.ORM:
+        # Trace words are masked and bits < 2**16, so no re-mask.
         bits = imm & 0xFFFF
-        or_word = mem.or_word
 
         def h(machine: "Machine", thread: Thread) -> None:
-            or_word(thread.regs[rd], bits, pc)
+            addr = thread.regs[rd]
+            base, end, words = mem._trace_hit
+            if not base <= addr < end:
+                base, end, words = mem.trace_hit(addr)
+            if base <= addr < end:
+                words[addr - base] |= bits
+            else:
+                mem.or_word(addr, bits, pc)
             thread.pc = nxt
 
     elif op is Op.STDAG:
         header = 0x80000000 | ((imm & 0xFFFFF) << 11)
 
         def h(machine: "Machine", thread: Thread) -> None:
-            store(thread.regs[rd], header, pc)
+            addr = thread.regs[rd]
+            base, end, words = mem._trace_hit
+            if not base <= addr < end:
+                base, end, words = mem.trace_hit(addr)
+            if base <= addr < end:
+                words[addr - base] = header
+            else:
+                mem.store(addr, header, pc)
             thread.pc = nxt
 
     elif op is Op.BSENT:
         target = nxt + imm
 
         def h(machine: "Machine", thread: Thread) -> None:
-            if load(thread.regs[rd], pc) == 0xFFFFFFFF:
-                thread.pc = target
+            addr = thread.regs[rd]
+            base, end, words = mem._trace_hit
+            if not base <= addr < end:
+                base, end, words = mem.trace_hit(addr)
+            if base <= addr < end:
+                word = words[addr - base]
             else:
-                thread.pc = nxt
+                word = mem.load(addr, pc)
+            thread.pc = target if word == 0xFFFFFFFF else nxt
 
     else:  # pragma: no cover - every opcode is handled above
 

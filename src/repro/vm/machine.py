@@ -60,6 +60,9 @@ from repro.vm.thread import (
 
 WORD_MASK = 0xFFFFFFFF
 
+_READY = ThreadState.READY
+_BLOCKED = ThreadState.BLOCKED
+
 #: The execution engine tiers a Machine can run (see ``Machine``):
 #: ``block`` (the default) and ``reference``, the oracle.
 ENGINES = ("block", "reference")
@@ -114,6 +117,9 @@ class ExitState:
     FAULTED = "faulted"  # unhandled exception
     SIGNALED = "signaled"  # fatal signal default action
     KILLED = "killed"  # SIGKILL, nothing ran
+
+
+_RUNNING = ExitState.RUNNING
 
 
 class Process:
@@ -331,6 +337,10 @@ class Machine:
         #: Bumped on every process/thread creation anywhere on the
         #: machine — the scheduler fast path's O(1) population guard.
         self.spawn_epoch = 0
+        #: Every thread in scheduling order, valid at ``_threads_epoch``
+        #: (see :meth:`_all_threads`).
+        self._threads: list[Thread] = []
+        self._threads_epoch = -1
         #: Set by a Network to route RPC off-machine; None = local only.
         self.rpc_router: Callable[[RpcRequest], None] | None = None
         #: Observers with slice_begin/slice_end methods, called around
@@ -353,23 +363,57 @@ class Machine:
     # ------------------------------------------------------------------
     # Scheduler
     # ------------------------------------------------------------------
-    def _live_threads(self) -> list[Thread]:
-        return [
-            thread
-            for process in self.processes
-            if process.alive
-            for thread in process.threads.values()
-            if thread.alive()
-        ]
+    def _all_threads(self) -> list[Thread]:
+        """Every thread of every process, in scheduling order (process
+        creation order, then tid).  Nothing is ever removed and every
+        creation bumps ``spawn_epoch``, so the list is rebuilt only
+        when the epoch moved."""
+        if self._threads_epoch != self.spawn_epoch:
+            self._threads = [
+                thread
+                for process in self.processes
+                for thread in process.threads.values()
+            ]
+            self._threads_epoch = self.spawn_epoch
+        return self._threads
 
-    def _wake_sleepers(self) -> None:
-        for thread in self._live_threads():
-            if (
-                thread.state is ThreadState.BLOCKED
-                and thread.wake_cycle is not None
-                and thread.wake_cycle <= self.cycles
-            ):
-                thread.unblock()
+    def _schedule(self) -> tuple[int, list[Thread], int | None]:
+        """The scheduler's one pass over the threads: wake the sleepers
+        that are due, then return how many threads are live, the
+        runnable ones in scheduling order, and the earliest timed wake
+        still pending (``None`` if none)."""
+        cycles = self.cycles
+        live = 0
+        runnable = []
+        wake = None
+        for thread in self._all_threads():
+            state = thread.state
+            if state is _READY:
+                if thread.process.exit_state == _RUNNING:
+                    live += 1
+                    runnable.append(thread)
+            elif state is _BLOCKED and thread.process.exit_state == _RUNNING:
+                live += 1
+                due = thread.wake_cycle
+                if due is not None:
+                    if due <= cycles:
+                        thread.unblock()
+                        runnable.append(thread)
+                    elif wake is None or due < wake:
+                        wake = due
+        return live, runnable, wake
+
+    def wake_sleepers(self) -> None:
+        """Unblock every live thread whose timed wake is due."""
+        self._schedule()
+
+    def live_thread_count(self) -> int:
+        """Threads still alive in running processes (wakes no one)."""
+        return sum(
+            1
+            for thread in self._all_threads()
+            if thread.alive() and thread.process.alive
+        )
 
     def run(self, max_cycles: int | None = None, quantum: int = QUANTUM) -> str:
         """Run until completion, deadlock, or the cycle limit.
@@ -379,10 +423,14 @@ class Machine:
         case the paper's external snap utility exists for), or
         ``"limit"``.
 
-        Threads run in slices of ``quantum`` instructions.  A thread
-        alone on the machine with no slice hooks to observe it runs, on
-        the block engine, a *lone run*: many quanta in one slice-loop
-        call, up to the first boundary where re-slicing would stop (see
+        Threads run in slices of ``quantum`` instructions, round-robin
+        over the runnable threads in process creation order, then tid.
+        Each slice costs one pass over the thread list (:meth:`_schedule`
+        wakes due sleepers and collects the runnable threads); the list
+        itself is rebuilt only after a spawn.  A thread alone on the
+        machine with no slice hooks to observe it runs, on the block
+        engine, a *lone run*: many quanta in one slice-loop call, up to
+        the first boundary where re-slicing would stop (see
         :meth:`_run_slice_block`).  Nothing but the slice hooks can see
         a boundary the run did not stop at, so cycles, output and trace
         words are those of per-quantum slicing.
@@ -390,26 +438,19 @@ class Machine:
         while True:
             if max_cycles is not None and self.cycles >= max_cycles:
                 return "limit"
-            self._wake_sleepers()
-            live = self._live_threads()
+            live, runnable, wake = self._schedule()
             if not live:
                 return "done"
-            runnable = [t for t in live if t.runnable()]
             if not runnable:
-                timed = [
-                    t.wake_cycle
-                    for t in live
-                    if t.state is ThreadState.BLOCKED and t.wake_cycle is not None
-                ]
-                if timed:
+                if wake is not None:
                     # Everything is waiting on the clock: fast-forward.
-                    self.cycles = max(self.cycles, min(timed))
+                    self.cycles = max(self.cycles, wake)
                     continue
                 return "stalled"
             self._rr_index %= len(runnable)
             thread = runnable[self._rr_index]
             self._rr_index += 1
-            if len(live) > 1:
+            if live > 1:
                 self._scheduled_slice(thread, quantum)
                 continue
             # Single-thread fast path: while this thread is the whole
@@ -508,8 +549,13 @@ class Machine:
         queue a signal, so a lone budget is re-derived at entries alone.
         The unit and handler lists sit in locals: a decode-cache refresh
         resets them in place, so code rewriting still takes effect
-        immediately.
+        immediately.  A slice of a thread other than the memory's last
+        one swaps the segment-cache entries (:meth:`Memory.switch_owner`),
+        so a thread switch keeps each thread's stack and trace entries.
         """
+        memory = process.memory
+        if memory.owner is not thread:
+            memory.switch_owner(thread)
         loader = process.loader
         loaded: LoadedModule | None = thread.code_hint
         if loaded is not None:

@@ -94,7 +94,13 @@ class Memory:
         # ping-pong on).  Guest locality makes these hit almost always,
         # skipping the bisect + permission check.  Safe because a
         # segment's base, size, backing list, and permissions never
-        # change after construction; invalidated on map/unmap.
+        # change after construction; reset on map/unmap, which also
+        # bump ``generation``.  The five entries belong to ``owner``, the
+        # thread that ran last: the block engine parks them in the
+        # outgoing thread on a switch and takes back the incoming
+        # thread's own if no map/unmap came in between (switch_owner),
+        # so threads with private stacks and trace buffers do not evict
+        # each other.
         self._read_hit: tuple[int, int, list[int] | None] = (1, 0, None)
         self._read_hit2: tuple[int, int, list[int] | None] = (1, 0, None)
         self._write_hit: tuple[int, int, list[int] | None] = (1, 0, None)
@@ -102,6 +108,12 @@ class Memory:
         # The probes' own entry (see trace_hit), so trace records never
         # evict the stack from the write entries.
         self._trace_hit: tuple[int, int, list[int] | None] = (1, 0, None)
+        #: Bumped by every map/unmap: saved entries of an older
+        #: generation may name an unmapped segment and are dropped.
+        self.generation = 0
+        #: The thread whose entries are loaded (any object with a
+        #: ``seg_cache`` attribute), or ``None``.
+        self.owner = None
 
     # ------------------------------------------------------------------
     # Mapping
@@ -117,8 +129,7 @@ class Memory:
         idx = bisect_right(self._bases, segment.base)
         self._segments.insert(idx, segment)
         self._bases.insert(idx, segment.base)
-        self._read_hit = self._read_hit2 = (1, 0, None)
-        self._write_hit = self._write_hit2 = self._trace_hit = (1, 0, None)
+        self._reset_entries()
         return segment
 
     def unmap(self, segment: Segment) -> None:
@@ -126,8 +137,30 @@ class Memory:
         idx = self._segments.index(segment)
         del self._segments[idx]
         del self._bases[idx]
+        self._reset_entries()
+
+    def _reset_entries(self) -> None:
         self._read_hit = self._read_hit2 = (1, 0, None)
         self._write_hit = self._write_hit2 = self._trace_hit = (1, 0, None)
+        self.generation += 1
+
+    def switch_owner(self, thread) -> None:
+        """Make ``thread`` the owner of the cache entries: park the
+        current entries in the outgoing owner's ``seg_cache`` and load
+        ``thread``'s saved ones if no map/unmap happened since they were
+        parked; otherwise keep the current ones (valid for any thread)."""
+        generation = self.generation
+        owner = self.owner
+        if owner is not None:
+            owner.seg_cache = (
+                generation, self._read_hit, self._read_hit2,
+                self._write_hit, self._write_hit2, self._trace_hit,
+            )
+        saved = thread.seg_cache
+        if saved is not None and saved[0] == generation:
+            (_, self._read_hit, self._read_hit2,
+             self._write_hit, self._write_hit2, self._trace_hit) = saved
+        self.owner = thread
 
     def segment_at(self, addr: int) -> Segment | None:
         """The segment containing ``addr``, or ``None``."""

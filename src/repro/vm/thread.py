@@ -116,6 +116,11 @@ class Thread:
         #: Purely an optimization: stale values are caught by the pc
         #: range / ``unloaded`` checks.
         self.code_hint = None
+        #: This thread's segment-cache entries, parked while another
+        #: thread of the process runs: ``(generation, *entries)``, see
+        #: :meth:`~repro.vm.memory.Memory.switch_owner`.  Purely an
+        #: optimization too: a stale generation is never loaded.
+        self.seg_cache: tuple | None = None
 
         # Initial stack: sp at the top of the stack segment; entry arg
         # in r0; returning from the entry function ends the thread.

@@ -326,3 +326,31 @@ def test_window_needs_local_vault(demo, capsys, wire):
     assert rc == 1
     assert out == ""
     assert err == "tbtrace: error: --window needs a local vault\n"
+
+
+# ----------------------------------------------------------------------
+# A missing vault root is an error in every mode, and nothing is created
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("what", ["query", "incidents", "top"])
+@pytest.mark.parametrize("mode", ["local", "--remote", "--federate"])
+def test_missing_vault_root_is_refused(regions, tmp_path, capsys, what, mode):
+    typo = str(tmp_path / "no-such-vault")
+    roots = [regions[0], typo] if mode == "--federate" else [typo]
+    extra = [] if mode == "local" else [mode]
+    rc, out, err = run(capsys, what, *vault_args(roots), *extra)
+    assert rc == 1
+    assert out == ""
+    assert err == (
+        f"tbtrace: error: cannot open vault {typo}: no such directory\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_serve_refuses_a_missing_vault_root(tmp_path, capsys):
+    typo = str(tmp_path / "no-such-vault")
+    rc, out, err = run(capsys, "serve", "--vault", typo)
+    assert rc == 1
+    assert err == (
+        f"tbtrace: error: cannot open vault {typo}: no such directory\n"
+    )
+    assert list(tmp_path.iterdir()) == []

@@ -244,7 +244,7 @@ def test_wedged_vault_host_reported_as_timed_out(
     roots, _, _ = fleet
     status, machine = wedged_host(source, max_cycles)
     assert status == ending
-    assert machine._live_threads(), "the host must still have live threads"
+    assert machine.live_thread_count(), "the host must still have live threads"
 
     network = Network()
     vaults = open_fleet(roots)

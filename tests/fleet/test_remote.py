@@ -257,8 +257,8 @@ def test_retry_backoff_is_seeded_and_clamped(vault):
 
 def test_wedged_server_costs_deadline_not_a_hang(vault):
     class StuckMachine:
-        def _live_threads(self):
-            return ["guest-thread"]
+        def live_thread_count(self):
+            return 1
 
     network = Network()
     server = VaultService(vault, machine=StuckMachine())
